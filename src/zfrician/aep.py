@@ -11,7 +11,6 @@ integrand of any fading average vanishes) is never evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -21,30 +20,14 @@ from scipy.special import roots_legendre
 from .snrdist import Rank1MgfParams, mgf_gamma1_det
 
 __all__ = [
-    "AepPoint",
     "QUADRATURE_NODES",
     "instantaneous_pe",
     "aep_from_mgf",
     "aep_exact_condition",
-    "aep_virtual",
     "aep_rice_ray_det",
 ]
 
 QUADRATURE_NODES = 96
-
-
-@dataclass(frozen=True)
-class AepPoint:
-    """One evaluated error-probability point."""
-
-    gamma_b_db: float
-    stream: int
-    value: float
-    method: str  # exact_condition | virtual | rice_ray_determinantal | mgf_generic
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("probability out of range")
 
 
 def _check_m(m: int) -> None:
@@ -82,7 +65,11 @@ def aep_from_mgf(mgf: Callable[[float], float], m: int, nodes: int = QUADRATURE_
 
 
 def aep_exact_condition(n: int, gamma_ki: float, m: int, nodes: int = QUADRATURE_NODES) -> float:
-    """Exact AEP for a Gamma(n, gamma_ki) SNR (the condition-holds law)."""
+    """AEP for a Gamma(n, gamma_ki) SNR.
+
+    Exact when the mean-correlation condition holds; given the virtual
+    scale it is the mean-matched approximation.
+    """
     _check_m(m)
     if gamma_ki < 0:
         raise ValueError("gamma_ki must be positive")
@@ -90,11 +77,6 @@ def aep_exact_condition(n: int, gamma_ki: float, m: int, nodes: int = QUADRATURE
     g = math.sin(math.pi / m) ** 2
     vals = (1.0 + g / np.sin(theta) ** 2 * gamma_ki) ** (-n)
     return float(np.dot(w, vals) / np.pi)
-
-
-def aep_virtual(n: int, gamma_hat_ki: float, m: int, nodes: int = QUADRATURE_NODES) -> float:
-    """Approximate AEP using the virtual Gamma scale; same integrand family."""
-    return aep_exact_condition(n, gamma_hat_ki, m, nodes)
 
 
 def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +31,8 @@ from .rng import substream
 __all__ = [
     "EigenSpectrum",
     "Rank1IdemParams",
-    "pochhammer",
     "factorial_product",
     "f11_series",
-    "f00_single",
     "f00_distinct",
     "f00_general",
     "f00_rank_v_idempotent",
@@ -100,16 +99,6 @@ class Rank1IdemParams:
             raise ValueError("need 1 <= n <= n_r")
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
-
-
 def factorial_product(n: int) -> float:
     """prod_{j=1}^{n} (j-1)!, the normalization constant of the Haar integrals."""
     if n < 0:
@@ -144,11 +133,6 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
         if abs(term) < rtol * abs(total):
             return total
     raise RuntimeError("1F1 series did not converge")
-
-
-def f00_single(s_eigenvalues: Sequence[float]) -> float:
-    """Single-argument 0F0(S) = etr(S)."""
-    return float(np.exp(np.sum(s_eigenvalues)))
 
 
 def _check_decreasing(vals: Sequence[float], what: str) -> np.ndarray:
@@ -296,18 +280,33 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
     return float(np.linalg.det(mat) * const / den)
 
 
+@lru_cache(maxsize=None)
+def _rank1_const(n: int, n_r: int) -> float:
+    """Haar normalization of the rank-1 determinant: (n_r-1)! / (prod (j-1)! over n and n_r-n)."""
+    return math.factorial(n_r - 1) / (factorial_product(n) * factorial_product(n_r - n))
+
+
 def f00_rank1_idempotent(p: Rank1IdemParams) -> float:
     """0F0 for rank-1 S against a rank-n idempotent, equal to 1F1(n; n_r; sigma1).
 
-    Below the small-sigma threshold the determinant form loses all
-    precision, so the series evaluation of the identical 1F1 value is used.
+    The rank-v determinant at v = 1: det(table) * const / sigma1^(n_r-1),
+    assembled in log domain above LOG_DOMAIN_SIGMA. Below the small-sigma
+    threshold the determinant form loses all precision, so the series
+    evaluation of the identical 1F1 value is used.
     """
-    if abs(p.sigma1) < SMALL_SIGMA:
-        return f11_series(p.n, p.n_r, p.sigma1)
-    if p.n == p.n_r:
+    sigma, n, n_r = p.sigma1, p.n, p.n_r
+    if abs(sigma) < SMALL_SIGMA:
+        return f11_series(n, n_r, sigma)
+    if n == n_r:
         # L is the identity: the Haar average is etr(S) itself.
-        return math.exp(p.sigma1)
-    return f00_rank_v_idempotent([p.sigma1], p.n, p.n_r)
+        return math.exp(sigma)
+    shift = sigma if sigma > LOG_DOMAIN_SIGMA else 0.0
+    mat = _idempotent_table(np.array([sigma]), n, n_r, np.array([shift]))
+    const = _rank1_const(n, n_r)
+    if shift:
+        sign, logdet = np.linalg.slogdet(mat)
+        return float(sign * math.exp(logdet + shift - (n_r - 1) * math.log(sigma) + math.log(const)))
+    return float(np.linalg.det(mat) * const / sigma ** (n_r - 1))
 
 
 def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: int, seed: int):

@@ -181,7 +181,7 @@ def sample_sc(model: ChannelModel, v: int, count: int, seed: int) -> np.ndarray:
             retry = 0
             while True:
                 try:
-                    _, gamma1 = schur.gramian_and_sc(h[k], v)
+                    gamma1 = schur.gramian_and_sc(h[k], v)
                     break
                 except np.linalg.LinAlgError:
                     retry += 1

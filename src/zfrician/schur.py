@@ -25,10 +25,10 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with .channel
 
 __all__ = [
     "UlFactor",
-    "GramianBlocks",
     "PartitionBlocks",
     "ConditionReport",
     "ul_decompose",
+    "schur_complement",
     "gramian_and_sc",
     "projection_eigencheck",
     "conditional_params",
@@ -57,16 +57,6 @@ class UlFactor:
 
 
 @dataclass
-class GramianBlocks:
-    """2x2 block view of one Gramian draw W = H^H H."""
-
-    w11: np.ndarray
-    w12: np.ndarray
-    w21: np.ndarray
-    w22: np.ndarray
-
-
-@dataclass
 class PartitionBlocks:
     """Model-level partition quantities for a given split v.
 
@@ -77,10 +67,6 @@ class PartitionBlocks:
     """
 
     v: int
-    r11: np.ndarray
-    r12: np.ndarray
-    r21: np.ndarray
-    r22: np.ndarray
     r_cond: np.ndarray
     m_matrix: np.ndarray
     sc_corr: np.ndarray
@@ -118,33 +104,49 @@ def ul_decompose(r: np.ndarray) -> UlFactor:
     return UlFactor(a=flip(flip(low, 0), 1))
 
 
-def gramian_and_sc(h: np.ndarray, v: int):
-    """Gramian blocks and the v x v Schur complement for one channel draw.
+def schur_complement(x: np.ndarray, v: int):
+    """Block regression and Schur complement of the interfering block of x.
 
-    The complement is computed both as ``w11 - w12 w22^-1 w21`` and as the
-    Hermitian form of the intended columns against the null-space projector
-    of the interfering columns; the two must agree, which guards against
-    ill-conditioned draws.
-
-    Returns (GramianBlocks, gamma1).
+    With x split v | rest, returns ``(x22^-1 x21, x11 - x12 x22^-1 x21)``,
+    the complement Hermitized. This is the one place the complement is
+    formed, for Gramian draws and for correlation matrices alike.
     """
-    h = np.asarray(h, dtype=complex)
-    n_t = h.shape[1]
-    if not 1 <= v < n_t:
+    if not 1 <= v < x.shape[0]:
         raise ValueError("need 1 <= v < n_t")
+    try:
+        reg = np.linalg.solve(x[v:, v:], x[v:, :v])
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("interfering-block matrix singular") from None
+    return reg, _hermitize(x[:v, :v] - x[:v, v:] @ reg)
+
+
+def _check_rank(h: np.ndarray) -> None:
     sv = np.linalg.svd(h, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise np.linalg.LinAlgError("channel matrix rank deficient")
-    w = h.conj().T @ h
-    w11, w12, w21, w22 = w[:v, :v], w[:v, v:], w[v:, :v], w[v:, v:]
-    gamma1 = _hermitize(w11 - w12 @ np.linalg.solve(w22, w21))
 
-    h1, h2 = h[:, :v], h[:, v:]
-    q2 = np.eye(h.shape[0]) - h2 @ np.linalg.solve(h2.conj().T @ h2, h2.conj().T)
-    gamma1_proj = _hermitize(h1.conj().T @ q2 @ h1)
+
+def _null_projector(h2: np.ndarray) -> np.ndarray:
+    """Projector onto the orthogonal complement of the columns of h2."""
+    return np.eye(h2.shape[0]) - h2 @ np.linalg.solve(h2.conj().T @ h2, h2.conj().T)
+
+
+def gramian_and_sc(h: np.ndarray, v: int) -> np.ndarray:
+    """The v x v Schur complement of the Gramian W = H^H H for one channel draw.
+
+    The complement is computed both by ``schur_complement`` of W and as the
+    Hermitian form of the intended columns against the null-space projector
+    of the interfering columns; the two must agree, which guards against
+    ill-conditioned draws.
+    """
+    h = np.asarray(h, dtype=complex)
+    _check_rank(h)
+    _, gamma1 = schur_complement(h.conj().T @ h, v)
+    h1 = h[:, :v]
+    gamma1_proj = _hermitize(h1.conj().T @ _null_projector(h[:, v:]) @ h1)
     if np.abs(gamma1 - gamma1_proj).max() > 1e-9 * max(1.0, np.abs(gamma1).max()):
         raise np.linalg.LinAlgError("Schur-complement cross-check failed (ill-conditioned draw)")
-    return GramianBlocks(w11, w12, w21, w22), gamma1
+    return gamma1
 
 
 def projection_eigencheck(h2: np.ndarray) -> np.ndarray:
@@ -154,39 +156,20 @@ def projection_eigencheck(h2: np.ndarray) -> np.ndarray:
     n_r - n_t + v ones.
     """
     h2 = np.asarray(h2, dtype=complex)
-    sv = np.linalg.svd(h2, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0]:
-        raise np.linalg.LinAlgError("channel matrix rank deficient")
-    q2 = np.eye(h2.shape[0]) - h2 @ np.linalg.solve(h2.conj().T @ h2, h2.conj().T)
-    return np.linalg.eigvalsh(_hermitize(q2))
+    _check_rank(h2)
+    return np.linalg.eigvalsh(_hermitize(_null_projector(h2)))
 
 
 def conditional_params(model: "ChannelModel", v: int) -> PartitionBlocks:
     """Partition r_tk and the mean, and derive the conditional parameters."""
-    n_t = model.n_t
-    if not 1 <= v < n_t:
-        raise ValueError("need 1 <= v < n_t")
-    r = model.r_tk
-    r11, r12, r21, r22 = r[:v, :v], r[:v, v:], r[v:, :v], r[v:, v:]
+    r_cond, sc_corr = schur_complement(model.r_tk, v)
     try:
-        np.linalg.cholesky(_hermitize(r22))
+        np.linalg.cholesky(_hermitize(model.r_tk[v:, v:]))
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("interfering-block correlation singular") from None
-    r_cond = np.linalg.solve(r22, r21)
+        raise np.linalg.LinAlgError("interfering-block correlation not positive definite") from None
     h_d1, h_d2 = model.h_d[:, :v], model.h_d[:, v:]
-    m_matrix = h_d1 - h_d2 @ r_cond
-    sc_corr = _hermitize(r11 - r12 @ r_cond)
     return PartitionBlocks(
-        v=v,
-        r11=r11,
-        r12=r12,
-        r21=r21,
-        r22=r22,
-        r_cond=r_cond,
-        m_matrix=m_matrix,
-        sc_corr=sc_corr,
-        h_d1=h_d1,
-        h_d2=h_d2,
+        v=v, r_cond=r_cond, m_matrix=h_d1 - h_d2 @ r_cond, sc_corr=sc_corr, h_d1=h_d1, h_d2=h_d2
     )
 
 
@@ -212,22 +195,15 @@ def virtual_scale(model: "ChannelModel") -> np.ndarray:
     return _hermitize(model.r_tk + model.h_d.conj().T @ model.h_d / model.n_r)
 
 
-def _sc_block(x: np.ndarray, v: int) -> np.ndarray:
-    x11, x12, x21, x22 = x[:v, :v], x[:v, v:], x[v:, :v], x[v:, v:]
-    try:
-        sol = np.linalg.solve(x22, x21)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("interfering-block correlation singular") from None
-    return _hermitize(x11 - x12 @ sol)
-
-
 def virtual_sc_residual(model: "ChannelModel", v: int) -> float:
     """Distance between the virtual and actual conditional covariances.
 
     Returns ||SC_v(virtual scale) - SC_v(r_tk)||_F, which is zero exactly
     when the mean-correlation condition holds.
     """
-    return float(np.linalg.norm(_sc_block(virtual_scale(model), v) - _sc_block(model.r_tk, v)))
+    _, sc_virtual = schur_complement(virtual_scale(model), v)
+    _, sc_actual = schur_complement(model.r_tk, v)
+    return float(np.linalg.norm(sc_virtual - sc_actual))
 
 
 def whitening_check(model: "ChannelModel", v: int) -> float:

@@ -12,7 +12,6 @@ in terms of 0F0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,26 +158,15 @@ def mgf_gamma1_series(p: Rank1MgfParams, s: float, rtol: float = 1e-12) -> float
 def mgf_gamma1_det(p: Rank1MgfParams, s: float) -> float:
     """Determinantal form of the stream-1 SNR m.g.f.
 
-    Valid wherever |sigma1(s)| clears the small-sigma threshold; below it
-    (including s = 0) the series form is returned instead, which is the
-    documented fallback for the degenerate ratio.
+    Gamma factor times the rank-1 0F0 determinant at sigma1(s). Below the
+    small-sigma threshold (including s = 0) ``f00_rank1_idempotent`` sums
+    the series of the identical 1F1 value instead, the documented fallback
+    for the degenerate ratio.
     """
     if s * p.gamma_k1 >= 1.0:
         raise ValueError("m.g.f. pole")
-    sigma1 = _sigma1(p, s)
-    if s == 0.0 or abs(sigma1) < hypergeom.SMALL_SIGMA:
-        return mgf_gamma1_series(p, s)
-    a_const = math.factorial(p.n_r - 1) / (
-        hypergeom.factorial_product(p.n) * hypergeom.factorial_product(p.n_r - p.n)
-    )
-    table = hypergeom._idempotent_table(np.array([sigma1]), p.n, p.n_r, np.zeros(1))
-    det = float(np.linalg.det(table))
-    return (
-        a_const
-        * (1.0 - s * p.gamma_k1) ** (p.n_t - 2)
-        / (s * p.gamma_k1 * p.alpha) ** (p.n_r - 1)
-        * det
-    )
+    f00 = hypergeom.f00_rank1_idempotent(hypergeom.Rank1IdemParams(_sigma1(p, s), p.n, p.n_r))
+    return (1.0 - s * p.gamma_k1) ** (-p.n) * f00
 
 
 def _mgf_domain_factor(theta: np.ndarray, sc_corr: np.ndarray, n_v: int):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zfrician.channel import ChannelModel, channel_from_parts
+from zfrician.schur import schur_complement
 
 
 def random_corr(rng: np.random.Generator, n_t: int, diag_load: float = 0.5) -> np.ndarray:
@@ -37,8 +38,7 @@ def random_model(
     r_t = random_corr(rng, n_t)
     mean = random_mean(rng, n_r, n_t)
     if condition:
-        r_tk = r_t / (k + 1.0)
-        r_cond = np.linalg.solve(r_tk[v:, v:], r_tk[v:, :v])
+        r_cond, _ = schur_complement(r_t / (k + 1.0), v)
         mean[:, :v] = mean[:, v:] @ r_cond
         if perturb:
             e = random_mean(rng, n_r, v)

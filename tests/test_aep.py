@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from zfrician.aep import (
-    AepPoint,
     aep_exact_condition,
     aep_from_mgf,
     aep_rice_ray_det,
-    aep_virtual,
     instantaneous_pe,
 )
 from zfrician.snrdist import GammaSnrDist, Rank1MgfParams, mgf_gamma, mgf_gamma1_series
@@ -55,11 +53,6 @@ class TestClosedForms:
     def test_zero_scale_is_guessing(self):
         assert abs(aep_exact_condition(2, 0.0, 4) - 0.75) < 1e-14
 
-    def test_exact_equals_virtual_at_equal_scales(self):
-        a = aep_exact_condition(3, 2.5, 8)
-        b = aep_virtual(3, 2.5, 8)
-        assert abs(a - b) < 1e-12
-
     def test_against_link_simulation(self):
         # Gamma(2, 10) is the exact stream law for K=0, identity correlation,
         # gamma_s = 10
@@ -101,10 +94,3 @@ class TestRiceRayDet:
         a = aep_exact_condition(2, 3.0, 4, nodes=96)
         b = aep_exact_condition(2, 3.0, 4, nodes=192)
         assert abs(a - b) <= 1e-10
-
-
-class TestAepPoint:
-    def test_probability_bounds(self):
-        AepPoint(gamma_b_db=0.0, stream=1, value=0.5, method="virtual")
-        with pytest.raises(ValueError):
-            AepPoint(gamma_b_db=0.0, stream=1, value=1.5, method="virtual")

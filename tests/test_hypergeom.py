@@ -12,11 +12,9 @@ from zfrician.hypergeom import (
     f00_general,
     f00_rank1_idempotent,
     f00_rank_v_idempotent,
-    f00_single,
     f11_series,
     factorial_product,
     haar_oracle,
-    pochhammer,
 )
 
 # 200-term direct summation at 40-digit precision
@@ -26,13 +24,6 @@ F11_2_4_M30 = 0.0062222222222228876532
 
 
 class TestScalars:
-    def test_pochhammer(self):
-        assert pochhammer(3.0, 0) == 1.0
-        assert pochhammer(2.0, 3) == 24.0
-        assert pochhammer(0.5, 2) == 0.75
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
     def test_factorial_product(self):
         assert factorial_product(1) == 1.0
         assert factorial_product(3) == 2.0
@@ -54,11 +45,6 @@ class TestScalars:
     def test_f11_bad_b(self):
         with pytest.raises(ValueError):
             f11_series(1.0, -2.0, 1.0)
-
-    def test_f00_single(self):
-        assert f00_single([0.0, 0.0]) == 1.0
-        assert f00_single([1.0, -1.0]) == 1.0
-        assert abs(f00_single([0.3, 0.7]) - math.e) < 1e-14
 
 
 class TestDistinct:

@@ -95,7 +95,7 @@ class TestSampleSnr:
         draws = sample_channel(m, 50, seed=4)
         for h in draws:
             w_inv = np.linalg.inv(h.conj().T @ h)
-            _, gamma1 = schur.gramian_and_sc(h, 2)
+            gamma1 = schur.gramian_and_sc(h, 2)
             inv_sc = np.linalg.inv(gamma1)
             for i in range(2):
                 a = gamma_s / w_inv[i, i].real

@@ -47,13 +47,12 @@ class TestGramianAndSc:
         h = np.zeros((4, 3), dtype=complex)
         h[:2, 0] = [1.0, 1j]
         h[2:, 1:] = np.eye(2)
-        blocks, gamma1 = schur.gramian_and_sc(h, 1)
-        assert np.allclose(blocks.w12, 0)
+        gamma1 = schur.gramian_and_sc(h, 1)
         assert np.allclose(gamma1, h[:, :1].conj().T @ h[:, :1])
 
     def test_2x2_determinant_identity(self, rng):
         h = random_mean(rng, 2, 2)
-        _, gamma1 = schur.gramian_and_sc(h, 1)
+        gamma1 = schur.gramian_and_sc(h, 1)
         w = h.conj().T @ h
         expect = np.linalg.det(w).real / w[1, 1].real
         assert abs(gamma1[0, 0].real - expect) < 1e-9 * max(1.0, abs(expect))
@@ -62,7 +61,7 @@ class TestGramianAndSc:
         # scalar complement equals 1/[W^-1]_11 and is gamma_s-free
         for _ in range(20):
             h = random_mean(rng, 4, 3)
-            _, gamma1 = schur.gramian_and_sc(h, 1)
+            gamma1 = schur.gramian_and_sc(h, 1)
             w = h.conj().T @ h
             assert abs(gamma1[0, 0].real - 1.0 / np.linalg.inv(w)[0, 0].real) < 1e-9
 
@@ -70,7 +69,7 @@ class TestGramianAndSc:
         # (W^11)^-1 from partitioned inversion equals the complement, any v
         for v in (1, 2):
             h = random_mean(rng, 5, 3)
-            _, gamma1 = schur.gramian_and_sc(h, v)
+            gamma1 = schur.gramian_and_sc(h, v)
             winv = np.linalg.inv(h.conj().T @ h)
             expect = np.linalg.inv(winv[:v, :v])
             assert np.abs(gamma1 - expect).max() < 1e-9 * max(1.0, np.abs(expect).max())
