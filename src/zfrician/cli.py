@@ -17,13 +17,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import aep, channel, mcsim, schur, snrdist
-from .channel import ChannelModel, FadingSpec, LinkBudget
+from .channel import ChannelModel, FadingSpec, LinkBudget, SystemDims
 from .rng import standard_complex_normal, substream
 
 __all__ = [
@@ -50,13 +52,17 @@ METHODS = ("exact", "approx", "determinantal", "sim")
 # exact for streams of the intended block.
 _EXACT_OK = ("rayleigh_only", "ray_rice_uncorr", "rice_rice_condition")
 
+_SCENARIOS = (*channel.PRESET_NAMES, "custom")
+
+_INT_FIELDS = ("n_r", "n_t", "v", "m", "trials", "seed")
+
 _MEAN_STREAM = 7
 _SIM_POINT_STREAM = 10
 
 
 @dataclass
 class ExperimentConfig:
-    scenario: str = "B1"  # B1 | A1 | custom
+    scenario: str = "B1"  # a channel preset name, or "custom"
     fading_case: str = "rice_rice_condition"
     n_r: int = 4
     n_t: int = 3
@@ -73,13 +79,23 @@ class ExperimentConfig:
     antenna_spacing_halfwavelengths: float = 1.0
 
     def validate(self) -> None:
-        if self.scenario not in ("B1", "A1", "custom"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+        """Check the whole config; every failure is a one-line ValueError."""
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        SystemDims(self.n_r, self.n_t, self.v)
+        if self.m < 2 or self.m & (self.m - 1):
+            raise ValueError(f"m must be a power of two >= 2, got {self.m}")
+        if self.scenario not in _SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}; choose from {_SCENARIOS}")
         if self.fading_case not in FADING_CASES:
             raise ValueError(f"unknown fading case {self.fading_case!r}; choose from {FADING_CASES}")
         if self.scenario == "custom" and (self.k_db is None or self.azimuth_spread_deg is None):
             raise ValueError("custom scenario requires k_db and azimuth_spread_deg")
         grid = list(self.gamma_b_grid_db)
+        if not all(isinstance(g, numbers.Real) and math.isfinite(g) for g in grid):
+            raise ValueError(f"gamma_b_grid_db must hold finite numbers, got {grid}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("gamma_b_grid_db must be nonempty and increasing")
         for meth in self.methods:
@@ -142,7 +158,7 @@ class ExperimentSummary:
 
 
 def _scenario_spec(cfg: ExperimentConfig, mean_raw: np.ndarray) -> FadingSpec:
-    if cfg.scenario in ("B1", "A1"):
+    if cfg.scenario in channel.PRESET_NAMES:
         spec = channel.preset(cfg.scenario, cfg.n_r, cfg.n_t)
         spec.mean_matrix_raw = mean_raw
         return spec
@@ -277,16 +293,18 @@ def _write_csv(rows, fh) -> None:
 
 def _parse_grid(text: str) -> list:
     if ":" in text:
-        start, step, stop = (float(x) for x in text.split(":"))
-        out = list(np.arange(start, stop + step / 2, step))
-        return [float(x) for x in out]
+        parts = [float(x) for x in text.split(":")]
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[1] == 0:
+            raise ValueError(f"grid {text!r}: need finite 'start:step:stop' with a nonzero step")
+        start, step, stop = parts
+        return [float(x) for x in np.arange(start, stop + step / 2, step)]
     return [float(x) for x in text.split(",")]
 
 
 def _list_presets() -> str:
     lines = ["available presets (ULA, PAS centered at 5 deg, spacing d_n = 1):"]
-    for name, p in (("B1", dict(k_db=9.0, as_deg=3.0)), ("A1", dict(k_db=7.0, as_deg=51.0))):
-        lines.append(f"  {name}: K = {p['k_db']:g} dB, azimuth spread = {p['as_deg']:g} deg")
+    for name, p in channel._PRESETS.items():
+        lines.append(f"  {name}: K = {p['k_db']:g} dB, azimuth spread = {p['azimuth_spread_deg']:g} deg")
     return "\n".join(lines)
 
 
@@ -296,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="ZF error-rate experiments under correlated Rician fading",
     )
     p.add_argument("--config", help="JSON config file (ExperimentConfig field names)")
-    p.add_argument("--scenario", choices=["B1", "A1", "custom"])
+    p.add_argument("--scenario", choices=_SCENARIOS)
     p.add_argument("--case", dest="fading_case", choices=list(FADING_CASES))
     p.add_argument("--grid", help="dB grid: 'start:step:stop' or comma-separated values")
     p.add_argument("--trials", type=int)

@@ -55,6 +55,15 @@ COINCIDENCE_RTOL = 1e-8
 LOG_DOMAIN_SIGMA = 200.0
 
 _MAX_SERIES_TERMS = 100_000
+
+# f11_series rescales its partial sum by 2**-_RESCALE_BITS beyond _RESCALE.
+_RESCALE_BITS = 900
+_RESCALE = 2.0**_RESCALE_BITS
+# exp() of anything above this is a normal double (not subnormal).
+_EXP_NORMAL_MIN = -700.0
+# ln 2 split so that j * _LN2_HI is exact for |j| < 2**20 (fdlibm constants).
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 _HAAR_CHUNK = 20_000
 
 
@@ -117,22 +126,41 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
 
     For x < 0 the defining series alternates with catastrophic
     cancellation, so the Kummer reflection exp(x) 1F1(b-a; b; -x) is
-    summed instead; the value is identical.
+    summed instead; the value is identical. A partial sum that nears
+    overflow is rescaled by an exact power of two, and the exponent is
+    recombined with exp(x) without rounding, so a reflection whose two
+    factors leave double range (x = -800) still keeps full precision.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     if b <= 0 and b == int(b):
         raise ValueError("b must not be a nonpositive integer")
+    shift = 0.0
     if x < 0:
-        return math.exp(x) * f11_series(b - a, b, -x, rtol)
+        shift, a, x = x, b - a, -x
     term = 1.0
     total = 1.0
+    exponent = 0  # the sum is total * 2**exponent
     for n in range(_MAX_SERIES_TERMS):
         term *= (a + n) / (b + n) * x / (n + 1)
         total += term
+        if abs(total) > _RESCALE:
+            term /= _RESCALE
+            total /= _RESCALE
+            exponent += _RESCALE_BITS
         if abs(term) < rtol * abs(total):
-            return total
-    raise RuntimeError("1F1 series did not converge")
+            break
+    else:
+        raise RuntimeError("1F1 series did not converge")
+    if not exponent and shift > _EXP_NORMAL_MIN:
+        return math.exp(shift) * total
+    # exp(shift) = 2**j * exp(r) with |r| <= ln2/2, r formed exactly
+    j = round(shift / math.log(2.0))
+    r = (shift - j * _LN2_HI) - j * _LN2_LO
+    try:
+        return math.ldexp(total * math.exp(r), exponent + j)
+    except OverflowError:
+        raise RuntimeError("1F1 overflows double precision") from None
 
 
 def _check_decreasing(vals: Sequence[float], what: str) -> np.ndarray:

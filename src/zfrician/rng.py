@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["substream", "standard_complex_normal"]
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a Philox generator for the substream identified by (seed, *path)."""

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from zfrician import schur
+from zfrician import channel, schur
 from zfrician.cli import (
     ExperimentConfig,
     ResultRow,
@@ -175,7 +175,10 @@ class TestMain:
     def test_list_presets(self, capsys):
         assert main(["--list-presets"]) == 0
         out = capsys.readouterr().out
-        assert "B1" in out and "A1" in out and "9 dB" in out
+        assert channel.PRESET_NAMES == tuple(channel._PRESETS)
+        for name, p in channel._PRESETS.items():
+            line = f"{name}: K = {p['k_db']:g} dB, azimuth spread = {p['azimuth_spread_deg']:g} deg"
+            assert line in out
 
     def test_error_exit_code(self, capsys):
         rc = main(["--case", "ray_rice_corr", "--methods", "exact", "--trials", "2000"])
@@ -210,3 +213,37 @@ class TestMain:
         assert main(["--config", str(cfg_path)]) != 0
         assert "unknown config fields" in capsys.readouterr().err
 
+
+class TestBadInput:
+    """Bad config input exits 1 with a one-line message, before any output."""
+
+    def run(self, tmp_path, capsys, args, config=None):
+        argv = ["--out", str(tmp_path / "out.csv"), "--trials", "2000", *args]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert not (tmp_path / "out.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_zero_grid_step(self, tmp_path, capsys):
+        assert "nonzero step" in self.run(tmp_path, capsys, ["--grid", "0:0:10"])
+
+    def test_nan_grid(self, tmp_path, capsys):
+        assert "finite numbers" in self.run(tmp_path, capsys, ["--grid", "nan"])
+
+    def test_more_streams_than_receivers(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--methods", "approx"], dict(n_r=2, n_t=3))
+        assert "n_t <= n_r" in err
+
+    def test_partition_beyond_streams(self, tmp_path, capsys):
+        assert "partition size v" in self.run(tmp_path, capsys, [], dict(v=5))
+
+    def test_non_integer_antenna_count(self, tmp_path, capsys):
+        assert "n_r must be an integer" in self.run(tmp_path, capsys, [], dict(n_r="4"))
+
+    def test_constellation_not_power_of_two(self, tmp_path, capsys):
+        assert "power of two" in self.run(tmp_path, capsys, [], dict(m=6))

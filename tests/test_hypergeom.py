@@ -46,6 +46,29 @@ class TestScalars:
         with pytest.raises(ValueError):
             f11_series(1.0, -2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (2, 4, -800.0),
+            (2, 4, -30.0),
+            (1, 2, -745.0),
+            (3.5, 6, -2000.0),
+            (2, 4, 600.0),
+            (1.5, 3, 700.0),
+            (2, 7, 0.01),
+        ],
+    )
+    def test_f11_against_mpmath(self, a, b, x):
+        # reflections whose exp(x) underflows, sums that pass 2**900
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        ref = float(mp.hyp1f1(a, b, x))
+        assert abs(f11_series(a, b, x) - ref) <= 1e-13 * abs(ref)
+
+    def test_f11_overflow_raises(self):
+        with pytest.raises(RuntimeError, match="overflows"):
+            f11_series(2, 4, 800.0)
+
 
 class TestDistinct:
     def test_1x1(self):
