@@ -55,6 +55,7 @@ COINCIDENCE_RTOL = 1e-8
 LOG_DOMAIN_SIGMA = 200.0
 
 _MAX_SERIES_TERMS = 100_000
+_HAAR_CHUNK = 20_000
 
 # f11_series rescales its partial sum by 2**-_RESCALE_BITS beyond _RESCALE.
 _RESCALE_BITS = 900
@@ -64,7 +65,6 @@ _EXP_NORMAL_MIN = -700.0
 # ln 2 split so that j * _LN2_HI is exact for |j| < 2**20 (fdlibm constants).
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-_HAAR_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -245,28 +245,35 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
     return float(num / den)
 
 
-def _idempotent_table(sigmas: np.ndarray, rank_l: int, n_r: int, shifts: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _idempotent_constant_rows(v: int, rank_l: int, n_r: int) -> np.ndarray:
+    """Rows v+1..n_r of the idempotent table: factorial/binomial entries free of S."""
+    rows = np.zeros((n_r - v, n_r))
+    for i in range(v + 1, n_r + 1):
+        for j in range(1, n_r + 1):
+            if j <= rank_l:
+                if n_r - i >= rank_l - j:
+                    rows[i - v - 1, j - 1] = math.factorial(rank_l - j) * math.comb(n_r - i, rank_l - j)
+            elif i == j:
+                rows[i - v - 1, j - 1] = math.factorial(n_r - i)
+    return rows
+
+
+def _idempotent_table(sigmas, rank_l: int, n_r: int, shifts) -> np.ndarray:
     """Determinant table for low-rank S against a rank_l idempotent L.
 
     Row i <= v carries exp(sigma_i - shifts[i]) times a power of sigma_i in
     the first rank_l columns and bare powers after; the remaining rows are
     constant factorial/binomial entries.
     """
-    v = sigmas.size
-    mat = np.zeros((n_r, n_r))
-    for i in range(1, n_r + 1):
-        for j in range(1, n_r + 1):
-            if i <= v:
-                s = sigmas[i - 1]
-                if j <= rank_l:
-                    mat[i - 1, j - 1] = math.exp(s - shifts[i - 1]) * s ** (rank_l - j)
-                else:
-                    mat[i - 1, j - 1] = math.exp(-shifts[i - 1]) * s ** (n_r - j)
-            elif j <= rank_l:
-                if n_r - i >= rank_l - j:
-                    mat[i - 1, j - 1] = math.factorial(rank_l - j) * math.comb(n_r - i, rank_l - j)
-            elif i == j:
-                mat[i - 1, j - 1] = math.factorial(n_r - i)
+    v = len(sigmas)
+    mat = np.empty((n_r, n_r))
+    mat[v:] = _idempotent_constant_rows(v, rank_l, n_r)
+    for i, (s, shift) in enumerate(zip(sigmas, shifts)):
+        e, e_bare = math.exp(s - shift), math.exp(-shift)
+        mat[i] = [e * s ** (rank_l - j) for j in range(1, rank_l + 1)] + [
+            e_bare * s ** (n_r - j) for j in range(rank_l + 1, n_r + 1)
+        ]
     return mat
 
 
@@ -310,7 +317,7 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
 
 @lru_cache(maxsize=None)
 def _rank1_const(n: int, n_r: int) -> float:
-    """Haar normalization of the rank-1 determinant: (n_r-1)! / (prod (j-1)! over n and n_r-n)."""
+    """Haar normalization of the rank-1 determinant, (n_r-1)! / (F(n) F(n_r-n)), F = factorial_product."""
     return math.factorial(n_r - 1) / (factorial_product(n) * factorial_product(n_r - n))
 
 
@@ -329,7 +336,7 @@ def f00_rank1_idempotent(p: Rank1IdemParams) -> float:
         # L is the identity: the Haar average is etr(S) itself.
         return math.exp(sigma)
     shift = sigma if sigma > LOG_DOMAIN_SIGMA else 0.0
-    mat = _idempotent_table(np.array([sigma]), n, n_r, np.array([shift]))
+    mat = _idempotent_table((sigma,), n, n_r, (shift,))
     const = _rank1_const(n, n_r)
     if shift:
         sign, logdet = np.linalg.slogdet(mat)
