@@ -55,6 +55,7 @@ _EXACT_OK = ("rayleigh_only", "ray_rice_uncorr", "rice_rice_condition")
 _SCENARIOS = (*channel.PRESET_NAMES, "custom")
 
 _INT_FIELDS = ("n_r", "n_t", "v", "m", "trials", "seed")
+_REAL_FIELDS = ("k_db", "azimuth_spread_deg", "center_azimuth_deg", "antenna_spacing_halfwavelengths")
 
 _MEAN_STREAM = 7
 _SIM_POINT_STREAM = 10
@@ -84,6 +85,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         SystemDims(self.n_r, self.n_t, self.v)
         if self.m < 2 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {self.m}")
@@ -98,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"gamma_b_grid_db must hold finite numbers, got {grid}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("gamma_b_grid_db must be nonempty and increasing")
+        if isinstance(self.methods, str):
+            raise ValueError(f"methods must be a list of names, got {self.methods!r}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")

@@ -247,3 +247,10 @@ class TestBadInput:
 
     def test_constellation_not_power_of_two(self, tmp_path, capsys):
         assert "power of two" in self.run(tmp_path, capsys, [], dict(m=6))
+
+    def test_non_numeric_k_factor(self, tmp_path, capsys):
+        config = dict(scenario="custom", k_db="5", azimuth_spread_deg=30.0)
+        assert "k_db must be a finite number" in self.run(tmp_path, capsys, [], config)
+
+    def test_methods_not_a_list(self, tmp_path, capsys):
+        assert "list of names" in self.run(tmp_path, capsys, [], dict(methods="approx"))
