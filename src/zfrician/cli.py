@@ -98,13 +98,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown fading case {self.fading_case!r}; choose from {FADING_CASES}")
         if self.scenario == "custom" and (self.k_db is None or self.azimuth_spread_deg is None):
             raise ValueError("custom scenario requires k_db and azimuth_spread_deg")
+        for name in ("gamma_b_grid_db", "methods"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         grid = list(self.gamma_b_grid_db)
         if not all(isinstance(g, numbers.Real) and math.isfinite(g) for g in grid):
             raise ValueError(f"gamma_b_grid_db must hold finite numbers, got {grid}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("gamma_b_grid_db must be nonempty and increasing")
-        if isinstance(self.methods, str):
-            raise ValueError(f"methods must be a list of names, got {self.methods!r}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")

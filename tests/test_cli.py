@@ -253,4 +253,7 @@ class TestBadInput:
         assert "k_db must be a finite number" in self.run(tmp_path, capsys, [], config)
 
     def test_methods_not_a_list(self, tmp_path, capsys):
-        assert "list of names" in self.run(tmp_path, capsys, [], dict(methods="approx"))
+        assert "methods must be a list" in self.run(tmp_path, capsys, [], dict(methods="approx"))
+
+    def test_grid_not_a_list(self, tmp_path, capsys):
+        assert "gamma_b_grid_db must be a list" in self.run(tmp_path, capsys, [], dict(gamma_b_grid_db=5))
