@@ -152,7 +152,7 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
             break
     else:
         raise RuntimeError("1F1 series did not converge")
-    if not exponent and shift > _EXP_NORMAL_MIN:
+    if not exponent and shift > _EXP_NORMAL_MIN:  # neither factor left double range
         return math.exp(shift) * total
     # exp(shift) = 2**j * exp(r) with |r| <= ln2/2, r formed exactly
     j = round(shift / math.log(2.0))
