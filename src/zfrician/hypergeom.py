@@ -317,7 +317,7 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
 
 @lru_cache(maxsize=None)
 def _rank1_const(n: int, n_r: int) -> float:
-    """Haar normalization of the rank-1 determinant, (n_r-1)! / (F(n) F(n_r-n)), F = factorial_product."""
+    """Rank-1 Haar normalization (n_r-1)! / (F(n) F(n_r-n)), with F = factorial_product."""
     return math.factorial(n_r - 1) / (factorial_product(n) * factorial_product(n_r - n))
 
 
