@@ -1,8 +1,9 @@
 """Golden CSV digests: refactors must reproduce these sweeps byte for byte.
 
 Each config runs through the command line with the default grid
-(0:2:20 dB) and seed. The digests were taken before the Schur-complement
-and rank-1 0F0 consolidation; a change here means a number moved.
+(0:2:20 dB) and seed. The first two digests were taken before the
+Schur-complement and rank-1 0F0 consolidation, the third before the
+batched Monte Carlo kernel; a change here means a number moved.
 """
 
 import hashlib
@@ -27,6 +28,10 @@ GOLDEN = {
     "a1_rice_ray_det": (
         dict(scenario="A1", fading_case="rice_ray", n_r=6, n_t=4, methods=["approx", "determinantal"]),
         "ace0ac80639085072090adbe51cb6ae15cc084ed66084d6c6a676c1ef4d2bedd",
+    ),
+    "a1_rice_ray_sim": (
+        dict(scenario="A1", fading_case="rice_ray", n_r=6, n_t=4, methods=["approx", "sim"], trials=2_000),
+        "6f473ca519b3d11d7b2e6233d9f78109440f651e0a05e58dd6e35fbdf1d6a7b5",
     ),
 }
 
