@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schur
-from .rng import standard_complex_normal, substream
+from .rng import chunks, standard_complex_normal, substream
 
 __all__ = [
     "SystemDims",
@@ -258,15 +258,9 @@ def sample_channel(model: ChannelModel, count: int, seed: int) -> np.ndarray:
     a_h = schur.ul_decompose(model.r_tk).a.conj().T
     n_r, n_t = model.h_d.shape
     out = np.empty((count, n_r, n_t), dtype=complex)
-    done = 0
-    chunk_idx = 0
-    while done < count:
-        n = min(_SAMPLE_CHUNK, count - done)
-        rng = substream(seed, _CHANNEL_STREAM, chunk_idx)
-        g = standard_complex_normal(rng, (_SAMPLE_CHUNK, n_r, n_t))[:n]
-        out[done : done + n] = model.h_d + g @ a_h
-        done += n
-        chunk_idx += 1
+    for key, start, n in chunks(seed, (_CHANNEL_STREAM,), count, _SAMPLE_CHUNK):
+        g = standard_complex_normal(substream(*key), (_SAMPLE_CHUNK, n_r, n_t))[:n]
+        out[start : start + n] = model.h_d + g @ a_h
     return out
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import substream
+from .rng import chunks, standard_complex_normal, substream
 
 __all__ = [
     "EigenSpectrum",
@@ -361,12 +361,8 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
     n = s.size
     acc = 0.0
     acc2 = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_HAAR_CHUNK, samples - done)
-        rng = substream(seed, chunk_idx)
-        z = (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))) / np.sqrt(2.0)
+    for key, _, m in chunks(seed, (), samples, _HAAR_CHUNK):
+        z = standard_complex_normal(substream(*key), (m, n, n))
         q, r = np.linalg.qr(z)
         d = np.einsum("bii->bi", r)
         q = q * (d / np.abs(d))[:, None, :]
@@ -374,8 +370,6 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
         vals = np.exp(tr)
         acc += float(vals.sum())
         acc2 += float((vals**2).sum())
-        done += m
-        chunk_idx += 1
     mean = acc / samples
     var = max(acc2 / samples - mean**2, 0.0)
     return mean, math.sqrt(var / samples)

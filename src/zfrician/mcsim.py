@@ -20,7 +20,7 @@ from scipy import stats
 
 from . import schur
 from .channel import ChannelModel, LinkBudget
-from .rng import standard_complex_normal, substream
+from .rng import chunks, redraw, standard_complex_normal, substream
 from .snrdist import GammaSnrDist
 
 __all__ = [
@@ -39,7 +39,10 @@ _CHUNK = 16_384
 _SER_SPACE = 1
 _SNR_SPACE = 2
 _SC_SPACE = 3
-_RETRY_OFFSET = 1_000_000
+
+# A draw with det(W) > _CERTIFY * tr(W)^n_t has lambda_min / lambda_max of
+# W = H^H H above _CERTIFY, far above RANK_TOL^2; only the rest need an SVD.
+_CERTIFY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,36 +63,53 @@ class SnrSamples:
     values: np.ndarray
 
 
-def _chunk_channels(model: ChannelModel, a_h: np.ndarray, rng, n: int) -> np.ndarray:
+def _gramian(h: np.ndarray) -> np.ndarray:
+    return h.conj().transpose(0, 2, 1) @ h
+
+
+def _bad_draws(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Flag draws whose singular-value ratio is at most RANK_TOL; w = H^H H.
+
+    Draws certified by det(W) / tr(W)^n_t skip the SVD; the mask equals the
+    SVD test on every draw.
+    """
+    n_t = w.shape[-1]
+    certified = np.linalg.det(w).real > _CERTIFY * np.einsum("bii->b", w).real ** n_t
+    bad = np.zeros(h.shape[0], dtype=bool)
+    idx = np.flatnonzero(~certified)
+    if idx.size:
+        sv = np.linalg.svd(h[idx], compute_uv=False)
+        bad[idx] = sv[:, -1] <= schur.RANK_TOL * sv[:, 0]
+    return bad
+
+
+def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
+    """Yield ``(rng, start, h, w)`` per chunk: full-rank draws and their Gramians.
+
+    Each draw is ``h_d + G A^H`` with A the upper factor of r_tk, formed as
+    one GEMM over the chunk. Chunk k draws from ``substream(seed, space, k)``,
+    which the caller keeps using; rank-deficient draws are redrawn from the
+    chunk's retry substreams.
+    """
+    a_h = schur.ul_decompose(model.r_tk).a.conj().T
     n_r, n_t = model.h_d.shape
-    g = standard_complex_normal(rng, (n, n_r, n_t))
-    return model.h_d + g @ a_h
 
+    def draw(rng, n):
+        g = standard_complex_normal(rng, (n * n_r, n_t))
+        return model.h_d + (g @ a_h).reshape(n, n_r, n_t)
 
-def _bad_draws(h: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(h, compute_uv=False)
-    return sv[:, -1] <= schur.RANK_TOL * sv[:, 0]
-
-
-def _redraw(model, a_h, seed, space, chunk_idx, h, bad_mask, redraw_counter):
-    """Replace rank-deficient draws deterministically; returns total redraws."""
-    retry = 0
-    while bad_mask.any():
-        retry += 1
-        redraw_counter += int(bad_mask.sum())
-        rng = substream(seed, space, chunk_idx, _RETRY_OFFSET + retry)
-        fresh = _chunk_channels(model, a_h, rng, int(bad_mask.sum()))
-        h[bad_mask] = fresh
-        bad = _bad_draws(h[bad_mask])
-        new_mask = np.zeros_like(bad_mask)
-        new_mask[np.flatnonzero(bad_mask)[bad]] = True
-        bad_mask = new_mask
-    return redraw_counter
-
-
-def _warn_redraws(redraws: int, trials: int) -> None:
-    if redraws > 0.001 * trials:
-        warnings.warn(f"{redraws} rank-deficient channel redraws in {trials} trials")
+    redraws = 0
+    for key, start, n in chunks(seed, (space,), total, _CHUNK):
+        rng = substream(*key)
+        h = draw(rng, n)
+        w = _gramian(h)
+        bad = _bad_draws(h, w)
+        if bad.any():
+            redraws += redraw(h, bad, draw, lambda x: _bad_draws(x, _gramian(x)), key)
+            w = _gramian(h)
+        yield rng, start, h, w
+    if redraws > 0.001 * total:
+        warnings.warn(f"{redraws} rank-deficient channel redraws in {total} trials")
 
 
 def simulate_ser(
@@ -100,34 +120,20 @@ def simulate_ser(
         raise ValueError("need at least 1000 trials")
     if m < 2 or m & (m - 1):
         raise ValueError("constellation order must be a power of two >= 2")
-    a_h = schur.ul_decompose(model.r_tk).a.conj().T
     n_r, n_t = model.h_d.shape
     sqrt_gs = math.sqrt(budget.gamma_s)
     errors = np.zeros(n_t, dtype=np.int64)
-    redraws = 0
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        rng = substream(seed, _SER_SPACE, chunk_idx)
-        h = _chunk_channels(model, a_h, rng, n)
+    for rng, _, h, w in _channel_chunks(model, seed, _SER_SPACE, trials):
+        n = h.shape[0]
         sym_idx = rng.integers(0, m, size=(n, n_t))
         noise = standard_complex_normal(rng, (n, n_r))
-        bad = _bad_draws(h)
-        if bad.any():
-            redraws = _redraw(model, a_h, seed, _SER_SPACE, chunk_idx, h, bad, redraws)
         x = np.exp(2j * np.pi * sym_idx / m)
         # y = x + W^-1 H^H n / sqrt(gamma_s): the received vector is
         # sqrt(gamma_s) H x + n with unit noise power.
-        hh = h.conj().transpose(0, 2, 1)
-        w = hh @ h
-        z = np.linalg.solve(w, (hh @ noise[:, :, None]))[:, :, 0]
+        z = np.linalg.solve(w, (h.conj().transpose(0, 2, 1) @ noise[:, :, None]))[:, :, 0]
         y = x + z / sqrt_gs
         det_idx = np.mod(np.rint(np.angle(y) * m / (2.0 * np.pi)), m).astype(np.int64)
         errors += (det_idx != sym_idx).sum(axis=0)
-        done += n
-        chunk_idx += 1
-    _warn_redraws(redraws, trials)
     out = []
     for i in range(n_t):
         ser = errors[i] / trials
@@ -142,56 +148,29 @@ def sample_snr(
     """Draw post-detection SNRs gamma_i = gamma_s / [W^-1]_ii for every stream."""
     if count < 1_000:
         raise ValueError("need at least 1000 samples")
-    a_h = schur.ul_decompose(model.r_tk).a.conj().T
-    n_t = model.n_t
-    values = np.empty((count, n_t))
-    redraws = 0
-    done = 0
-    chunk_idx = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        rng = substream(seed, _SNR_SPACE, chunk_idx)
-        h = _chunk_channels(model, a_h, rng, n)
-        bad = _bad_draws(h)
-        if bad.any():
-            redraws = _redraw(model, a_h, seed, _SNR_SPACE, chunk_idx, h, bad, redraws)
-        w = h.conj().transpose(0, 2, 1) @ h
+    values = np.empty((count, model.n_t))
+    for _, start, h, w in _channel_chunks(model, seed, _SNR_SPACE, count):
         inv_diag = np.einsum("bii->bi", np.linalg.inv(w)).real
-        values[done : done + n] = budget.gamma_s / inv_diag
-        done += n
-        chunk_idx += 1
-    _warn_redraws(redraws, count)
-    return [SnrSamples(stream=i + 1, values=values[:, i].copy()) for i in range(n_t)]
+        values[start : start + h.shape[0]] = budget.gamma_s / inv_diag
+    return [SnrSamples(stream=i + 1, values=values[:, i].copy()) for i in range(model.n_t)]
 
 
 def sample_sc(model: ChannelModel, v: int, count: int, seed: int) -> np.ndarray:
-    """Draw Schur-complement samples, shape (count, v, v)."""
+    """Draw Schur-complement samples, shape (count, v, v).
+
+    With ``[H2 H1] = QR`` (interfering columns first), the complement of the
+    interfering block in ``W = H^H H`` is ``R11^H R11``, R11 the trailing
+    v x v block of R; ``schur.gramian_and_sc`` is the per-draw oracle.
+    """
     if count < 1_000:
         raise ValueError("need at least 1000 samples")
-    a_h = schur.ul_decompose(model.r_tk).a.conj().T
+    if not 1 <= v < model.n_t:
+        raise ValueError("need 1 <= v < n_t")
     out = np.empty((count, v, v), dtype=complex)
-    redraws = 0
-    done = 0
-    chunk_idx = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        rng = substream(seed, _SC_SPACE, chunk_idx)
-        h = _chunk_channels(model, a_h, rng, n)
-        for k in range(n):
-            retry = 0
-            while True:
-                try:
-                    gamma1 = schur.gramian_and_sc(h[k], v)
-                    break
-                except np.linalg.LinAlgError:
-                    retry += 1
-                    redraws += 1
-                    rng_r = substream(seed, _SC_SPACE, chunk_idx, _RETRY_OFFSET + retry, k)
-                    h[k] = _chunk_channels(model, a_h, rng_r, 1)[0]
-            out[done + k] = gamma1
-        done += n
-        chunk_idx += 1
-    _warn_redraws(redraws, count)
+    for _, start, h, _ in _channel_chunks(model, seed, _SC_SPACE, count):
+        r11 = np.linalg.qr(np.concatenate([h[:, :, v:], h[:, :, :v]], axis=2), mode="r")[:, -v:, -v:]
+        sc = r11.conj().transpose(0, 2, 1) @ r11
+        out[start : start + h.shape[0]] = 0.5 * (sc + sc.conj().transpose(0, 2, 1))
     return out
 
 

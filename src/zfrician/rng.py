@@ -5,13 +5,18 @@ generators keyed by an integer seed plus a substream path. Philox output
 is platform-independent, and disjoint spawn keys give statistically
 independent streams, so results are reproducible regardless of how work
 is chunked or parallelized.
+
+Every sampler splits its work with ``chunks`` and replaces rejected draws
+with ``redraw``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "standard_complex_normal"]
+__all__ = ["substream", "standard_complex_normal", "chunks", "redraw", "RETRY_OFFSET"]
+
+RETRY_OFFSET = 1_000_000
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -25,3 +30,31 @@ def standard_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def chunks(seed: int, path: tuple, total: int, size: int):
+    """Yield ``(key, start, n)`` for each chunk of ``total`` draws.
+
+    Chunk k covers draws ``[k * size, k * size + n)`` and owns the substream
+    ``substream(*key)`` with ``key = (seed, *path, k)``.
+    """
+    for k, start in enumerate(range(0, total, size)):
+        yield (seed, *path, k), start, min(size, total - start)
+
+
+def redraw(x: np.ndarray, bad: np.ndarray, draw, check, key: tuple) -> int:
+    """Replace the rows of x flagged by ``bad`` in place; return rows replaced.
+
+    Round r draws every flagged row at once as ``draw(rng, count)`` from
+    ``substream(*key, RETRY_OFFSET + r)``; ``check(rows)`` then flags the
+    replacements that must go round again. Unflagged rows are not touched.
+    """
+    idx = np.flatnonzero(bad)
+    replaced = 0
+    retry = 0
+    while idx.size:
+        retry += 1
+        replaced += idx.size
+        x[idx] = draw(substream(*key, RETRY_OFFSET + retry), idx.size)
+        idx = idx[check(x[idx])]
+    return replaced

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from zfrician import schur
+from zfrician import mcsim, schur
 from zfrician.channel import LinkBudget, channel_from_parts, sample_channel
 from zfrician.mcsim import ks_test_gamma, sample_sc, sample_snr, simulate_ser
+from zfrician.rng import RETRY_OFFSET, chunks, redraw, standard_complex_normal, substream
 from zfrician.snrdist import GammaSnrDist, exact_gamma_snr
 
 from conftest import random_model
@@ -129,6 +130,93 @@ class TestSampleSc:
         samples = sample_sc(m, 1, 50_000, seed=16)[:, 0, 0].real
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 2.0) <= 3 * se  # n_v * 1
+
+
+def svd_mask(h):
+    sv = np.linalg.svd(h, compute_uv=False)
+    return sv[:, -1] <= schur.RANK_TOL * sv[:, 0]
+
+
+class TestRankCheck:
+    def test_certified_mask_equals_svd_mask_on_random_draws(self, rng):
+        for n_r, n_t in [(4, 3), (6, 4), (12, 6), (3, 3)]:
+            h = sample_channel(random_model(rng, n_r, n_t), 2_000, seed=n_r * n_t)
+            bad = mcsim._bad_draws(h, mcsim._gramian(h))
+            assert np.array_equal(bad, svd_mask(h))
+            assert not bad.any()
+
+    def test_certified_mask_equals_svd_mask_near_deficient(self, rng):
+        # column 1 = column 0 + delta * noise, so sigma_min / sigma_max ~ delta,
+        # with delta on both sides of RANK_TOL
+        deltas = np.repeat(np.logspace(-4, -14, 41), 5)
+        for n_r, n_t in [(4, 3), (8, 5)]:
+            h = (rng.standard_normal((deltas.size, n_r, n_t)) + 1j * rng.standard_normal((deltas.size, n_r, n_t))) / 2
+            noise = rng.standard_normal((deltas.size, n_r)) + 1j * rng.standard_normal((deltas.size, n_r))
+            h[:, :, 1] = h[:, :, 0] + deltas[:, None] * noise
+            bad = mcsim._bad_draws(h, mcsim._gramian(h))
+            assert np.array_equal(bad, svd_mask(h))
+            assert bad.any() and not bad.all()
+
+
+class TestChunkDriver:
+    def test_chunk_keys_and_sizes(self):
+        assert list(chunks(7, (2,), 25, 10)) == [((7, 2, 0), 0, 10), ((7, 2, 1), 10, 10), ((7, 2, 2), 20, 5)]
+        assert [key for key, _, _ in chunks(7, (), 10, 10)] == [(7, 0)]
+
+    def test_redraw_replaces_only_flagged_rows(self):
+        key = (5, 9, 0)
+
+        def draw(g, n):
+            return standard_complex_normal(g, (n, 3))
+
+        x = draw(substream(*key), 20)
+        before = x.copy()
+        bad = np.zeros(20, dtype=bool)
+        bad[[3, 7, 11]] = True
+        # the check rejects the first replacement once, then accepts all
+        rejects = iter([np.array([True, False, False]), np.array([False])])
+        assert redraw(x, bad, draw, lambda rows: next(rejects), key) == 4
+        assert np.array_equal(x[~bad], before[~bad])
+        first = draw(substream(*key, RETRY_OFFSET + 1), 3)
+        second = draw(substream(*key, RETRY_OFFSET + 2), 1)
+        assert np.array_equal(x[[7, 11]], first[1:])
+        assert np.array_equal(x[3], second[0])
+
+    def test_channel_chunks_redraw_from_retry_substream(self, rng, monkeypatch):
+        model = random_model(rng)
+        seed, count, rows = 31, 1_500, [2, 5]
+        clean = [(h.copy(), w.copy()) for _, _, h, w in mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count)]
+        calls = []
+
+        def fake_bad(h, w):
+            calls.append(h.shape[0])
+            bad = np.zeros(h.shape[0], dtype=bool)
+            if len(calls) == 1:
+                bad[rows] = True
+            return bad
+
+        monkeypatch.setattr(mcsim, "_bad_draws", fake_bad)
+        with pytest.warns(UserWarning, match="2 rank-deficient channel redraws in 1500"):
+            ((_, _, h, w),) = list(mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count))
+        assert calls == [count, len(rows)]
+        keep = np.setdiff1d(np.arange(count), rows)
+        assert np.array_equal(h[keep], clean[0][0][keep])
+        a_h = schur.ul_decompose(model.r_tk).a.conj().T
+        g = standard_complex_normal(substream(seed, mcsim._SNR_SPACE, 0, RETRY_OFFSET + 1), (len(rows) * 4, 3))
+        assert np.array_equal(h[rows], model.h_d + (g @ a_h).reshape(len(rows), 4, 3))
+        assert np.array_equal(w, mcsim._gramian(h))
+
+
+class TestBatchedSc:
+    @pytest.mark.parametrize("n_r,n_t,v", [(4, 3, 1), (4, 3, 2), (6, 4, 2), (8, 5, 3), (3, 3, 2)])
+    def test_matches_per_draw_oracle(self, rng, n_r, n_t, v):
+        model = random_model(rng, n_r, n_t)
+        seed, count = 40 + n_r, 1_000
+        samples = sample_sc(model, v, count, seed)
+        ((_, _, h, _),) = list(mcsim._channel_chunks(model, seed, mcsim._SC_SPACE, count))
+        for k in range(count):
+            oracle = schur.gramian_and_sc(h[k], v)
+            assert np.abs(samples[k] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestKsTestGamma:
