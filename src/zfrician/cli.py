@@ -56,6 +56,8 @@ _SCENARIOS = (*channel.PRESET_NAMES, "custom")
 
 _INT_FIELDS = ("n_r", "n_t", "v", "m", "trials", "seed")
 _REAL_FIELDS = ("k_db", "azimuth_spread_deg", "center_azimuth_deg", "antenna_spacing_halfwavelengths")
+# dB inputs stay within 10^(+-300) on the linear scale, inside double range.
+_DB_LIMIT = 3000.0
 
 _MEAN_STREAM = 7
 _SIM_POINT_STREAM = 10
@@ -89,6 +91,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.k_db is not None and abs(self.k_db) > _DB_LIMIT:
+            raise ValueError(f"k_db must lie between -{_DB_LIMIT:g} and {_DB_LIMIT:g} dB, got {self.k_db!r}")
         SystemDims(self.n_r, self.n_t, self.v)
         if self.m < 2 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {self.m}")
@@ -102,8 +106,10 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         grid = list(self.gamma_b_grid_db)
-        if not all(isinstance(g, numbers.Real) and math.isfinite(g) for g in grid):
-            raise ValueError(f"gamma_b_grid_db must hold finite numbers, got {grid}")
+        if not all(isinstance(g, numbers.Real) and math.isfinite(g) and abs(g) <= _DB_LIMIT for g in grid):
+            raise ValueError(
+                f"gamma_b_grid_db must hold finite numbers between -{_DB_LIMIT:g} and {_DB_LIMIT:g} dB, got {grid}"
+            )
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("gamma_b_grid_db must be nonempty and increasing")
         for meth in self.methods:
@@ -277,7 +283,16 @@ def _fmt(x) -> str:
 
 
 def emit_csv(rows, path) -> None:
-    """Write rows with the fixed header; absent methods leave empty fields."""
+    """Write rows with the fixed header; absent methods leave empty fields.
+
+    Every probability must be finite and in [0, 1]; otherwise nothing is
+    written and a ValueError names the first offending field.
+    """
+    for r in rows:
+        for name in ("aep_exact", "aep_approx", "aep_det", "ser_sim"):
+            x = getattr(r, name)
+            if x is not None and not 0.0 <= x <= 1.0:
+                raise ValueError(f"{name} = {x!r} at {r.gamma_b_db:g} dB is not a probability in [0, 1]")
     with open(path, "w", newline="") as fh:
         _write_csv(rows, fh)
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from zfrician import channel, schur
+from zfrician import channel, cli, schur
 from zfrician.cli import (
     ExperimentConfig,
     ResultRow,
@@ -257,3 +257,16 @@ class TestBadInput:
 
     def test_grid_not_a_list(self, tmp_path, capsys):
         assert "gamma_b_grid_db must be a list" in self.run(tmp_path, capsys, [], dict(gamma_b_grid_db=5))
+
+    def test_huge_grid_value(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, [], dict(gamma_b_grid_db=[0, 1e9]))
+        assert "between -3000 and 3000 dB" in err
+
+    def test_huge_k_factor(self, tmp_path, capsys):
+        config = dict(scenario="custom", k_db=1e9, azimuth_spread_deg=30.0)
+        assert "k_db must lie between" in self.run(tmp_path, capsys, [], config)
+
+    def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda *args: float("nan"))
+        err = self.run(tmp_path, capsys, ["--methods", "approx"])
+        assert "aep_approx = nan at 0 dB is not a probability" in err
