@@ -56,6 +56,7 @@ LOG_DOMAIN_SIGMA = 200.0
 
 _MAX_SERIES_TERMS = 100_000
 _HAAR_CHUNK = 20_000
+_QR_BLOCK = 2_048  # QR a chunk in blocks: its workspace is several copies of the input
 
 # f11_series rescales its partial sum by 2**-_RESCALE_BITS beyond _RESCALE.
 _RESCALE_BITS = 900
@@ -363,11 +364,12 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
     acc2 = 0.0
     for key, _, m in chunks(seed, (), samples, _HAAR_CHUNK):
         z = standard_complex_normal(substream(*key), (m, n, n))
-        q, r = np.linalg.qr(z)
-        d = np.einsum("bii->bi", r)
-        q = q * (d / np.abs(d))[:, None, :]
-        tr = np.einsum("bik,i,k->b", np.abs(q) ** 2, s, lam)
-        vals = np.exp(tr)
+        vals = np.empty(m)
+        for b in range(0, m, _QR_BLOCK):
+            q, r = np.linalg.qr(z[b : b + _QR_BLOCK])
+            d = np.einsum("bii->bi", r)
+            q = q * (d / np.abs(d))[:, None, :]
+            vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, s, lam))
         acc += float(vals.sum())
         acc2 += float((vals**2).sum())
     mean = acc / samples

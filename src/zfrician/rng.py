@@ -5,9 +5,6 @@ generators keyed by an integer seed plus a substream path. Philox output
 is platform-independent, and disjoint spawn keys give statistically
 independent streams, so results are reproducible regardless of how work
 is chunked or parallelized.
-
-Every sampler splits its work with ``chunks`` and replaces rejected draws
-with ``redraw``.
 """
 
 from __future__ import annotations

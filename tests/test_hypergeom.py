@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from zfrician import hypergeom
 from zfrician.hypergeom import (
     EigenSpectrum,
     Rank1IdemParams,
@@ -214,6 +215,14 @@ class TestHaarOracle:
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="1000"):
             haar_oracle([1.0], [1.0], 10, seed=0)
+
+    def test_qr_blocks_do_not_change_bits(self, monkeypatch):
+        # 25,000 samples: a full chunk and a partial one, each split into
+        # blocks with a partial last block
+        args = ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5)
+        blocked = haar_oracle(*args)
+        monkeypatch.setattr(hypergeom, "_QR_BLOCK", hypergeom._HAAR_CHUNK)
+        assert haar_oracle(*args) == blocked
 
 
 class TestClusterSpectrum:
