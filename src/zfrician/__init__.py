@@ -12,9 +12,7 @@ from .channel import (
     FadingSpec,
     LinkBudget,
     SystemDims,
-    assemble_channel,
     preset,
-    sample_channel,
 )
 from .schur import check_condition, virtual_scale
 
@@ -30,9 +28,7 @@ __all__ = [
     "FadingSpec",
     "LinkBudget",
     "SystemDims",
-    "assemble_channel",
     "preset",
-    "sample_channel",
     "check_condition",
     "virtual_scale",
 ]

@@ -21,7 +21,6 @@ from .snrdist import Rank1MgfParams, mgf_gamma1_det
 
 __all__ = [
     "QUADRATURE_NODES",
-    "instantaneous_pe",
     "aep_from_mgf",
     "aep_exact_condition",
     "aep_rice_ray_det",
@@ -30,62 +29,52 @@ __all__ = [
 QUADRATURE_NODES = 96
 
 
-def _check_m(m: int) -> None:
-    if m < 2 or m & (m - 1):
-        raise ValueError("constellation order must be a power of two >= 2")
-
-
 @lru_cache(maxsize=None)
 def _quad_rule(m: int, nodes: int):
-    """Gauss-Legendre nodes/weights on [0, (M-1)pi/M]."""
+    """M.g.f. arguments s = -sin^2(pi/M)/sin^2(theta) and weights of the rule.
+
+    Gauss-Legendre nodes theta on [0, (M-1)pi/M]. The arrays are cached and
+    handed to m.g.f. callables, so they are read-only.
+    """
     x, w = roots_legendre(nodes)
     upper = (m - 1) * np.pi / m
     theta = 0.5 * upper * (x + 1.0)
-    return theta, 0.5 * upper * w
+    s = -math.sin(math.pi / m) ** 2 / np.sin(theta) ** 2
+    s.flags.writeable = False
+    return s, 0.5 * upper * w
 
 
-def instantaneous_pe(gamma: float, m: int, nodes: int = QUADRATURE_NODES) -> float:
-    """MPSK symbol-error probability at instantaneous SNR gamma."""
-    _check_m(m)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    theta, w = _quad_rule(m, nodes)
-    g = math.sin(math.pi / m) ** 2
-    vals = np.exp(-gamma * g / np.sin(theta) ** 2)
-    return float(np.dot(w, vals) / np.pi)
+def aep_from_mgf(mgf: Callable[[np.ndarray], np.ndarray], m: int, nodes: int = QUADRATURE_NODES) -> float:
+    """Average error probability from an SNR m.g.f.
 
-
-def aep_from_mgf(mgf: Callable[[float], float], m: int, nodes: int = QUADRATURE_NODES) -> float:
-    """Average error probability from an SNR m.g.f. (evaluated at negative args)."""
-    _check_m(m)
-    theta, w = _quad_rule(m, nodes)
-    g = math.sin(math.pi / m) ** 2
-    vals = np.array([mgf(-g / math.sin(t) ** 2) for t in theta])
-    return float(np.dot(w, vals) / np.pi)
+    ``mgf`` is called once, on the array of the rule's (negative) arguments,
+    and returns the m.g.f. values there. With the point-mass m.g.f.
+    exp(s * gamma) this is the instantaneous error probability at gamma.
+    """
+    if m < 2 or m & (m - 1):
+        raise ValueError("constellation order must be a power of two >= 2")
+    s, w = _quad_rule(m, nodes)
+    return float(np.dot(w, mgf(s)) / np.pi)
 
 
 def aep_exact_condition(n: int, gamma_ki: float, m: int, nodes: int = QUADRATURE_NODES) -> float:
-    """AEP for a Gamma(n, gamma_ki) SNR.
+    """AEP for a Gamma(n, gamma_ki) SNR, whose m.g.f. is (1 - s gamma_ki)^-n.
 
     Exact when the mean-correlation condition holds; given the virtual
     scale it is the mean-matched approximation.
     """
-    _check_m(m)
     if gamma_ki < 0:
-        raise ValueError("gamma_ki must be positive")
-    theta, w = _quad_rule(m, nodes)
-    g = math.sin(math.pi / m) ** 2
-    vals = (1.0 + g / np.sin(theta) ** 2 * gamma_ki) ** (-n)
-    return float(np.dot(w, vals) / np.pi)
+        raise ValueError("gamma_ki must be nonnegative")
+    return aep_from_mgf(lambda s: (1.0 - s * gamma_ki) ** (-n), m, nodes)
 
 
 def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES) -> float:
     """Exact stream-1 AEP for a Rician stream over zero-mean interference.
 
-    Integrates the determinantal m.g.f.; nodes where the effective
-    argument is below the small-sigma threshold automatically use the
-    series form of the identical value.
+    Integrates the determinantal m.g.f. node by node; nodes where the
+    effective argument is below the small-sigma threshold automatically use
+    the series form of the identical value.
     """
     if p.alpha <= 0:
         raise ValueError("alpha must be positive (genuinely Rician stream)")
-    return aep_from_mgf(lambda s: mgf_gamma1_det(p, s), m, nodes)
+    return aep_from_mgf(lambda s: [mgf_gamma1_det(p, x) for x in s.tolist()], m, nodes)

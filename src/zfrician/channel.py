@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schur
-from .rng import chunks, standard_complex_normal, substream
-
 __all__ = [
     "SystemDims",
     "FadingSpec",
@@ -28,9 +25,7 @@ __all__ = [
     "LinkBudget",
     "build_correlation_matrix",
     "normalize_mean",
-    "assemble_channel",
     "channel_from_parts",
-    "sample_channel",
     "preset",
     "db_to_linear",
     "PRESET_NAMES",
@@ -39,13 +34,6 @@ __all__ = [
 # Fixed node count for the PAS quadrature; trace renormalization absorbs
 # the residual truncation error.
 _PAS_NODES = 2048
-
-# Seed for the arbitrary complex mean matrix shipped with the presets.
-DEFAULT_MEAN_SEED = 61_803_398
-
-# Substream index used by sample_channel chunks (distinct from mcsim streams).
-_CHANNEL_STREAM = 0
-_SAMPLE_CHUNK = 8_192
 
 
 def db_to_linear(x_db: float) -> float:
@@ -81,20 +69,18 @@ class SystemDims:
         return self.n_r - self.n_t + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FadingSpec:
-    """Fading scenario parameters.
+    """Fading scenario parameters: the K factor and the transmit correlation.
 
     ``k_factor`` is linear (convert dB at this boundary, nowhere else).
-    ``mean_matrix_raw`` is an unnormalized seed for the deterministic
-    component; its scale is irrelevant because assembly renormalizes.
+    The deterministic mean is chosen per fading case, not here.
     """
 
     k_factor: float
     azimuth_spread_deg: float
     center_azimuth_deg: float
     antenna_spacing_halfwavelengths: float
-    mean_matrix_raw: np.ndarray
 
     def __post_init__(self):
         if self.k_factor < 0:
@@ -234,41 +220,6 @@ def channel_from_parts(r_t: np.ndarray, mean_raw: np.ndarray, k_factor: float) -
     return ChannelModel(h_d=h_d, r_t=r_t, r_tk=r_t / (k_factor + 1.0), k_factor=k_factor)
 
 
-def assemble_channel(spec: FadingSpec, n_r: int, n_t: int) -> ChannelModel:
-    """Build the channel model for a fading spec."""
-    raw = np.asarray(spec.mean_matrix_raw, dtype=complex)
-    if raw.shape != (n_r, n_t):
-        raise ValueError(f"mean_matrix_raw must be {n_r}x{n_t}, got {raw.shape}")
-    r_t = build_correlation_matrix(spec, n_t)
-    return channel_from_parts(r_t, raw, spec.k_factor)
-
-
-def sample_channel(model: ChannelModel, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` channel matrices, shape (count, n_r, n_t).
-
-    Each draw is ``h_d + G @ A^H`` with G i.i.d. standard complex Gaussian
-    and A the upper-triangular factor of r_tk, so rows of the random part
-    have covariance r_tk. Draws are generated in fixed-size full chunks
-    (the tail chunk is sliced), each on its own Philox substream of
-    (seed, chunk), so any prefix of the stream is identical however much
-    is requested and however the work is split.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a_h = schur.ul_decompose(model.r_tk).a.conj().T
-    n_r, n_t = model.h_d.shape
-    out = np.empty((count, n_r, n_t), dtype=complex)
-    for key, start, n in chunks(seed, (_CHANNEL_STREAM,), count, _SAMPLE_CHUNK):
-        g = standard_complex_normal(substream(*key), (_SAMPLE_CHUNK, n_r, n_t))[:n]
-        out[start : start + n] = model.h_d + g @ a_h
-    return out
-
-
-def _preset_mean(n_r: int, n_t: int, seed: int) -> np.ndarray:
-    """Fixed arbitrary complex mean seed used by the named presets."""
-    return standard_complex_normal(substream(seed, 0xD), (n_r, n_t))
-
-
 _PRESETS = {
     "B1": dict(k_db=9.0, azimuth_spread_deg=3.0),
     "A1": dict(k_db=7.0, azimuth_spread_deg=51.0),
@@ -277,11 +228,11 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name: str, n_r: int, n_t: int, mean_seed: int = DEFAULT_MEAN_SEED) -> FadingSpec:
+def preset(name: str) -> FadingSpec:
     """Load a named scenario preset (B1 or A1).
 
-    Both use a ULA at half-wavelength spacing unit (d_n = 1), PAS centered
-    at 5 degrees, and a fixed seeded arbitrary complex mean matrix.
+    Both use a ULA at half-wavelength spacing unit (d_n = 1) and a PAS
+    centered at 5 degrees.
     """
     try:
         p = _PRESETS[name]
@@ -292,5 +243,4 @@ def preset(name: str, n_r: int, n_t: int, mean_seed: int = DEFAULT_MEAN_SEED) ->
         azimuth_spread_deg=p["azimuth_spread_deg"],
         center_azimuth_deg=5.0,
         antenna_spacing_halfwavelengths=1.0,
-        mean_matrix_raw=_preset_mean(n_r, n_t, mean_seed),
     )

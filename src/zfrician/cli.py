@@ -171,17 +171,14 @@ class ExperimentSummary:
         return "\n".join(lines)
 
 
-def _scenario_spec(cfg: ExperimentConfig, mean_raw: np.ndarray) -> FadingSpec:
+def _scenario_spec(cfg: ExperimentConfig) -> FadingSpec:
     if cfg.scenario in channel.PRESET_NAMES:
-        spec = channel.preset(cfg.scenario, cfg.n_r, cfg.n_t)
-        spec.mean_matrix_raw = mean_raw
-        return spec
+        return channel.preset(cfg.scenario)
     return FadingSpec(
         k_factor=channel.db_to_linear(cfg.k_db),
         azimuth_spread_deg=cfg.azimuth_spread_deg,
         center_azimuth_deg=cfg.center_azimuth_deg,
         antenna_spacing_halfwavelengths=cfg.antenna_spacing_halfwavelengths,
-        mean_matrix_raw=mean_raw,
     )
 
 
@@ -197,7 +194,7 @@ def build_model(cfg: ExperimentConfig) -> ChannelModel:
     """
     cfg.validate()
     raw = standard_complex_normal(substream(cfg.seed, _MEAN_STREAM), (cfg.n_r, cfg.n_t))
-    spec = _scenario_spec(cfg, raw)
+    spec = _scenario_spec(cfg)
     r_t = channel.build_correlation_matrix(spec, cfg.n_t)
     v = cfg.v
     k = spec.k_factor

@@ -1,12 +1,12 @@
 """Hypergeometric functions of scalar and matrix argument.
 
 The two-matrix-argument function 0F0(S, L) is the Haar-unitary average of
-etr(S U L U^H); it depends on the two spectra only. Three closed forms are
+etr(S U L U^H); it depends on the two spectra only. Two closed forms are
 implemented as determinants of matrices with elementary-function entries:
 
-* both spectra distinct (``f00_distinct``),
 * arbitrary multiplicities, via the continuous extension with mixed
-  partial derivatives of exp(sigma*lambda) (``f00_general``),
+  partial derivatives of exp(sigma*lambda) (``f00_general``; its
+  all-distinct case has the checked entry ``f00_distinct``),
 * S of low rank with an idempotent L (``f00_rank_v_idempotent`` and the
   rank-1 specialization ``f00_rank1_idempotent``).
 
@@ -174,9 +174,10 @@ def _check_decreasing(vals: Sequence[float], what: str) -> np.ndarray:
 def f00_distinct(sigma: Sequence[float], lam: Sequence[float]) -> float:
     """0F0(S, L) when both n_r-point spectra are distinct.
 
-    det(exp(sigma_i lambda_j)) divided by both Vandermonde products, scaled
-    by the Haar normalization. Near-coincident eigenvalues make the
-    Vandermonde denominators blow up; such inputs are refused.
+    ``f00_general`` with every multiplicity 1: det(exp(sigma_i lambda_j))
+    over both Vandermonde products, scaled by the Haar normalization.
+    Near-coincident eigenvalues make the Vandermonde denominators blow up;
+    such inputs are refused.
     """
     sig = _check_decreasing(sigma, "sigma")
     lmb = _check_decreasing(lam, "lambda")
@@ -186,13 +187,8 @@ def f00_distinct(sigma: Sequence[float], lam: Sequence[float]) -> float:
         scale = max(1.0, float(np.abs(arr).max()))
         if arr.size > 1 and np.min(-np.diff(arr)) <= COINCIDENCE_RTOL * scale:
             raise ValueError("use f00_general")
-    n_r = sig.size
-    det = np.linalg.det(np.exp(np.outer(sig, lmb)))
-    den = 1.0
-    for i in range(n_r):
-        for j in range(i + 1, n_r):
-            den *= (sig[i] - sig[j]) * (lmb[i] - lmb[j])
-    return float(det / den * factorial_product(n_r))
+    ones = [1] * sig.size
+    return f00_general(EigenSpectrum(sig, ones), EigenSpectrum(lmb, ones))
 
 
 def _derivative_orders(mults: Sequence[int]) -> list:
@@ -201,14 +197,6 @@ def _derivative_orders(mults: Sequence[int]) -> list:
     for m in mults:
         orders.extend(range(m - 1, -1, -1))
     return orders
-
-
-def _mixed_partial_exp(sig: float, lam: float, a: int, b: int) -> float:
-    # d^a/dsig^a d^b/dlam^b exp(sig lam), closed form via the product rule
-    acc = 0.0
-    for k in range(min(a, b) + 1):
-        acc += math.comb(b, k) * math.perm(a, k) * lam ** (a - k) * sig ** (b - k)
-    return acc * math.exp(sig * lam)
 
 
 def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
@@ -223,16 +211,20 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
     n_r = sigma.total
     if n_r != lam.total:
         raise ValueError("spectra must have the same ambient dimension")
-    sig_rep = sigma.expanded()
-    lam_rep = lam.expanded()
+    sig = np.array(sigma.expanded())[:, None]
+    lmb = np.array(lam.expanded())[None, :]
     a = _derivative_orders(sigma.multiplicities)
     b = _derivative_orders(lam.multiplicities)
-    if len(a) != n_r or len(b) != n_r:
-        raise ValueError("derivative-order bookkeeping is inconsistent")
-    mat = np.empty((n_r, n_r))
-    for i in range(n_r):
-        for j in range(n_r):
-            mat[i, j] = _mixed_partial_exp(sig_rep[i], lam_rep[j], a[i], b[j])
+    mat = np.exp(sig * lmb)
+    if any(a) or any(b):
+        # d^a/dsig^a d^b/dlam^b exp(sig lam) by the product rule: term k is
+        # C(b, k) P(a, k) lam^(a-k) sig^(b-k), present for k <= min(a, b)
+        a_col, b_row = np.array(a)[:, None], np.array(b)[None, :]
+        poly = np.zeros((n_r, n_r))
+        for k in range(min(max(a), max(b)) + 1):
+            coef = np.outer([math.perm(i, k) for i in a], [math.comb(j, k) for j in b])
+            poly += coef * lmb ** np.maximum(a_col - k, 0) * sig ** np.maximum(b_row - k, 0)
+        mat *= poly
     num = np.linalg.det(mat) * factorial_product(n_r)
     for m in sigma.multiplicities:
         num /= factorial_product(m)
@@ -348,10 +340,11 @@ def f00_rank1_idempotent(p: Rank1IdemParams) -> float:
 def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: int, seed: int):
     """Monte Carlo estimate of the Haar average of etr(S U L U^H).
 
-    U is drawn by QR of a complex Ginibre matrix with the R diagonal phase
-    fixed, the standard construction of the unitary Haar measure. Returns
-    (estimate, standard_error); deterministic given seed, independent of
-    chunking.
+    U is the Q of a QR of a complex Ginibre matrix. Fixing the phases of
+    R's diagonal would make U exactly Haar, but it only multiplies each
+    column of Q by a unit phase, and the integrand depends on U through
+    |u_ik|^2 alone, so the fix is skipped. Returns (estimate,
+    standard_error); deterministic given seed, independent of chunking.
     """
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
@@ -366,9 +359,7 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
         z = standard_complex_normal(substream(*key), (m, n, n))
         vals = np.empty(m)
         for b in range(0, m, _QR_BLOCK):
-            q, r = np.linalg.qr(z[b : b + _QR_BLOCK])
-            d = np.einsum("bii->bi", r)
-            q = q * (d / np.abs(d))[:, None, :]
+            q = np.linalg.qr(z[b : b + _QR_BLOCK])[0]
             vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, s, lam))
         acc += float(vals.sum())
         acc2 += float((vals**2).sum())

@@ -91,7 +91,7 @@ def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
     which the caller keeps using; rank-deficient draws are redrawn from the
     chunk's retry substreams.
     """
-    a_h = schur.ul_decompose(model.r_tk).a.conj().T
+    a_h = schur.ul_decompose(model.r_tk).conj().T
     n_r, n_t = model.h_d.shape
 
     def draw(rng, n):

@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with .channel
     from .channel import ChannelModel
 
 __all__ = [
-    "UlFactor",
     "PartitionBlocks",
     "ConditionReport",
     "ul_decompose",
@@ -43,17 +42,6 @@ RANK_TOL = 1e-10
 
 # Default relative tolerance for the mean-correlation condition.
 CONDITION_TOL = 1e-8
-
-
-@dataclass
-class UlFactor:
-    """Upper-triangular factor with ``a @ a^H = r`` (strictly lower block zero)."""
-
-    a: np.ndarray
-
-    def blocks(self, v: int):
-        """Return (a11, a12, a22) for the v | rest split; a21 is zero."""
-        return self.a[:v, :v], self.a[:v, v:], self.a[v:, v:]
 
 
 @dataclass
@@ -87,8 +75,8 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def ul_decompose(r: np.ndarray) -> UlFactor:
-    """Factor a Hermitian positive-definite r as a @ a^H, a upper triangular.
+def ul_decompose(r: np.ndarray) -> np.ndarray:
+    """Return the upper-triangular a with a @ a^H = r, for Hermitian positive-definite r.
 
     Implemented as a Cholesky factorization under index reversal, which
     flips the usual lower-triangular factor into the upper orientation.
@@ -101,7 +89,7 @@ def ul_decompose(r: np.ndarray) -> UlFactor:
         low = np.linalg.cholesky(flip(flip(r, 0), 1))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("correlation matrix not positive definite") from None
-    return UlFactor(a=flip(flip(low, 0), 1))
+    return flip(flip(low, 0), 1)
 
 
 def schur_complement(x: np.ndarray, v: int):
@@ -213,6 +201,6 @@ def whitening_check(model: "ChannelModel", v: int) -> float:
     whitens the rows; the condition holds exactly when the whitened mean
     has zero first-v columns.
     """
-    a = ul_decompose(model.r_tk).a
+    a = ul_decompose(model.r_tk)
     whitened_mean = model.h_d @ np.linalg.inv(a).conj().T
     return float(np.linalg.norm(whitened_mean[:, :v]))

@@ -121,17 +121,29 @@ def virtual_gamma_snr(model: ChannelModel, stream: int, gamma_s: float) -> Gamma
     return GammaSnrDist(shape=shape, scale=scale, kind="virtual")
 
 
-def mgf_gamma(d: GammaSnrDist, s: float) -> float:
-    """(1 - s*scale)^-shape, defined for s*scale < 1."""
-    if s * d.scale >= 1.0:
+def mgf_gamma(d: GammaSnrDist, s):
+    """(1 - s*scale)^-shape, defined for s*scale < 1; s may be an array."""
+    if np.any(np.asarray(s) * d.scale >= 1.0):
         raise ValueError("m.g.f. pole")
     return (1.0 - s * d.scale) ** (-d.shape)
 
 
+def _require_zero_mean_interferers(blocks: schur.PartitionBlocks) -> None:
+    if np.linalg.norm(blocks.h_d2) > 1e-12 * max(1.0, np.linalg.norm(blocks.h_d1)):
+        raise ValueError("requires a zero-mean interfering block")
+
+
 def rank1_params(model: ChannelModel, gamma_s: float) -> Rank1MgfParams:
-    """Stream-1 m.g.f. parameters for the v = 1 partition."""
+    """Stream-1 m.g.f. parameters for the v = 1 partition.
+
+    The m.g.f. is derived for zero-mean interferers. A Rician interfering
+    block is accepted only where the mean-correlation condition holds: there
+    alpha is 0 and the law is the pure Gamma one.
+    """
     blocks = schur.conditional_params(model, 1)
     mu = blocks.m_matrix[:, 0]
+    if np.linalg.norm(mu) > schur.CONDITION_TOL * np.linalg.norm(model.h_d):
+        _require_zero_mean_interferers(blocks)
     sc = float(blocks.sc_corr[0, 0].real)
     inv_sc = 1.0 / sc
     return Rank1MgfParams(
@@ -209,8 +221,7 @@ def mgf_sc_rician_rayleigh(
     theta = np.asarray(theta, dtype=complex)
     if blocks.v != dims.v:
         raise ValueError("blocks and dims disagree on v")
-    if np.linalg.norm(blocks.h_d2) > 1e-12 * max(1.0, np.linalg.norm(blocks.h_d1)):
-        raise ValueError("requires a zero-mean interfering block")
+    _require_zero_mean_interferers(blocks)
     inv_f, det_pow = _mgf_domain_factor(theta, blocks.sc_corr, dims.n_v)
     if not theta.any():
         return 1.0

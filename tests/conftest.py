@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from zfrician import mcsim
 from zfrician.channel import ChannelModel, channel_from_parts
 from zfrician.schur import schur_complement
+
+# Substream namespace for test channel draws; the simulator's samplers use 1-3.
+_TEST_SPACE = 0
 
 
 def random_corr(rng: np.random.Generator, n_t: int, diag_load: float = 0.5) -> np.ndarray:
@@ -47,6 +51,11 @@ def random_model(
                 scale = 1.0
             mean[:, :v] += perturb * scale * e / np.linalg.norm(e)
     return channel_from_parts(r_t, mean, k)
+
+
+def draw_channels(model: ChannelModel, count: int, seed: int) -> np.ndarray:
+    """``count`` full-rank channel draws from the simulator's sampler, shape (count, n_r, n_t)."""
+    return np.concatenate([h for _, _, h, _ in mcsim._channel_chunks(model, seed, _TEST_SPACE, count)])
 
 
 @pytest.fixture

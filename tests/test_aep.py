@@ -7,13 +7,17 @@ from zfrician.aep import (
     aep_exact_condition,
     aep_from_mgf,
     aep_rice_ray_det,
-    instantaneous_pe,
 )
 from zfrician.snrdist import GammaSnrDist, Rank1MgfParams, mgf_gamma, mgf_gamma1_series
 
 # adaptive quadrature (scipy.integrate.quad, epsabs=1e-14) of the M=4,
 # gamma=10 integrand
 PE_QPSK_G10 = 0.001564789636945211
+
+
+def instantaneous_pe(gamma, m):
+    """Error probability at a fixed SNR: the AEP of the point-mass m.g.f. exp(s gamma)."""
+    return aep_from_mgf(lambda s: np.exp(s * gamma), m)
 
 
 class TestInstantaneous:
@@ -34,7 +38,7 @@ class TestInstantaneous:
 
 class TestFromMgf:
     def test_constant_mgf(self):
-        assert abs(aep_from_mgf(lambda s: 1.0, 4) - 0.75) < 1e-14
+        assert abs(aep_from_mgf(np.ones_like, 4) - 0.75) < 1e-14
 
     def test_gamma_mgf_matches_closed_form(self):
         d = GammaSnrDist(shape=2, scale=4.0, kind="exact")
@@ -44,7 +48,7 @@ class TestFromMgf:
 
     def test_series_path_matches_determinantal_path(self):
         p = Rank1MgfParams(gamma_k1=0.8, alpha=5.0, n=2, n_r=4, n_t=3)
-        a = aep_from_mgf(lambda s: mgf_gamma1_series(p, s), 4)
+        a = aep_from_mgf(lambda s: [mgf_gamma1_series(p, x) for x in s], 4)
         b = aep_rice_ray_det(p, 4)
         assert abs(a - b) <= 1e-9 * max(a, b)
 

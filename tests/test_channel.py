@@ -9,28 +9,29 @@ from zfrician.channel import (
     FadingSpec,
     LinkBudget,
     SystemDims,
-    assemble_channel,
     build_correlation_matrix,
     channel_from_parts,
     db_to_linear,
     normalize_mean,
     preset,
-    sample_channel,
 )
 
-from conftest import random_corr, random_mean
+from conftest import draw_channels, random_corr, random_mean
 
 
-def spec_with(as_deg=3.0, k=1.0, theta_c=5.0, d_n=1.0, n_r=4, n_t=3, seed=0):
-    rng = np.random.default_rng(seed)
-    raw = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / np.sqrt(2)
+def spec_with(as_deg=3.0, k=1.0, theta_c=5.0, d_n=1.0):
     return FadingSpec(
         k_factor=k,
         azimuth_spread_deg=as_deg,
         center_azimuth_deg=theta_c,
         antenna_spacing_halfwavelengths=d_n,
-        mean_matrix_raw=raw,
     )
+
+
+def assemble(k, n_r=4, n_t=3):
+    """A model from a PAS correlation and a fixed arbitrary complex mean."""
+    raw = random_mean(np.random.default_rng(0), n_r, n_t)
+    return channel_from_parts(build_correlation_matrix(spec_with(k=k), n_t), raw, k)
 
 
 def pas_correlation_oracle(sep, as_deg, theta_c_deg, d_n):
@@ -104,18 +105,18 @@ class TestNormalizeMean:
 
 class TestAssemble:
     def test_rayleigh(self):
-        m = assemble_channel(spec_with(k=0.0), 4, 3)
+        m = assemble(0.0)
         assert not m.h_d.any()
         assert np.allclose(m.r_tk, m.r_t)
 
     def test_large_k_limit(self):
-        m = assemble_channel(spec_with(k=1e6), 4, 3)
+        m = assemble(1e6)
         assert abs(np.linalg.norm(m.h_d) ** 2 - 12.0) < 1e-4
         assert np.allclose(m.r_tk, m.r_t / (1e6 + 1))
 
     def test_k_9db_power(self):
         k = db_to_linear(9.0)
-        m = assemble_channel(spec_with(k=k), 4, 3)
+        m = assemble(k)
         assert abs(np.linalg.norm(m.h_d) ** 2 - 12 * k / (k + 1)) < 1e-9
 
     def test_power_ratio_identity(self, rng):
@@ -135,10 +136,12 @@ class TestAssemble:
 
 
 class TestSampleChannel:
+    """Channel draws of the simulator's one sampler, ``mcsim._channel_chunks``."""
+
     def test_mean_and_row_covariance(self, rng):
         count = 100_000
         m = channel_from_parts(random_corr(rng, 3), random_mean(rng, 4, 3), 2.0)
-        draws = sample_channel(m, count, seed=42)
+        draws = draw_channels(m, count, seed=42)
         # elementwise mean within 3 standard errors
         resid = draws.mean(axis=0) - m.h_d
         se = 1.0 / np.sqrt(count)  # each entry has unit-variance complex parts scaled by r_tk
@@ -153,19 +156,17 @@ class TestSampleChannel:
     def test_identity_covariance_rayleigh(self, rng):
         count = 50_000
         m = channel_from_parts(np.eye(3), np.zeros((4, 3)), 0.0)
-        draws = sample_channel(m, count, seed=3)
+        draws = draw_channels(m, count, seed=3)
         rows = draws.reshape(-1, 3)
         emp = rows.conj().T @ rows / rows.shape[0]
         assert np.abs(emp - np.eye(3)).max() < 3.5 / np.sqrt(rows.shape[0])
 
-    def test_deterministic_and_chunk_invariant(self, rng):
+    def test_deterministic(self, rng):
         m = channel_from_parts(random_corr(rng, 3), random_mean(rng, 4, 3), 1.0)
-        a = sample_channel(m, 1500, seed=7)
-        b = sample_channel(m, 1500, seed=7)
+        a = draw_channels(m, 1500, seed=7)
+        b = draw_channels(m, 1500, seed=7)
+        assert a.shape == (1500, 4, 3)
         assert np.array_equal(a, b)
-        # a longer run starts with the same prefix (chunking is fixed)
-        c = sample_channel(m, 3000, seed=7)
-        assert np.array_equal(c[:1500], a)
 
 
 class TestTypes:
@@ -184,11 +185,10 @@ class TestTypes:
         assert abs(b.gamma_s * 3 - b.es_over_n0) < 1e-12
 
     def test_presets(self):
-        b1 = preset("B1", 4, 3)
-        a1 = preset("A1", 4, 3)
+        b1 = preset("B1")
+        a1 = preset("A1")
         assert abs(b1.k_factor - db_to_linear(9.0)) < 1e-12
         assert abs(a1.k_factor - db_to_linear(7.0)) < 1e-12
         assert b1.azimuth_spread_deg == 3.0 and a1.azimuth_spread_deg == 51.0
-        assert np.array_equal(b1.mean_matrix_raw, a1.mean_matrix_raw)  # same seeded mean
         with pytest.raises(ValueError, match="unknown preset"):
-            preset("C9", 4, 3)
+            preset("C9")

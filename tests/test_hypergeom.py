@@ -110,13 +110,6 @@ class TestDistinct:
 
 
 class TestGeneral:
-    def test_reduces_to_distinct(self):
-        sig = [0.9, 0.3, -0.5]
-        lam = [1.1, 0.2, -0.8]
-        a = f00_general(EigenSpectrum(sig, [1, 1, 1]), EigenSpectrum(lam, [1, 1, 1]))
-        b = f00_distinct(sig, lam)
-        assert abs(a - b) < 1e-9 * abs(b)
-
     def test_matches_rank1_structure(self):
         s1, n, n_r = 1.7, 2, 4
         a = f00_general(EigenSpectrum([s1, 0.0], [1, 3]), EigenSpectrum([1.0, 0.0], [n, n_r - n]))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from zfrician import mcsim, schur
-from zfrician.channel import LinkBudget, channel_from_parts, sample_channel
+from zfrician.channel import LinkBudget, channel_from_parts
 from zfrician.mcsim import ks_test_gamma, sample_sc, sample_snr, simulate_ser
 from zfrician.rng import RETRY_OFFSET, chunks, redraw, standard_complex_normal, substream
 from zfrician.snrdist import GammaSnrDist, exact_gamma_snr
 
-from conftest import random_model
+from conftest import draw_channels, random_model
 
 
 def rayleigh_identity_model():
@@ -93,7 +93,7 @@ class TestSampleSnr:
         # gamma_i from the full inverse equals the complement route per draw
         m = random_model(rng)
         gamma_s = 7.0
-        draws = sample_channel(m, 50, seed=4)
+        draws = draw_channels(m, 50, seed=4)
         for h in draws:
             w_inv = np.linalg.inv(h.conj().T @ h)
             gamma1 = schur.gramian_and_sc(h, 2)
@@ -140,7 +140,7 @@ def svd_mask(h):
 class TestRankCheck:
     def test_certified_mask_equals_svd_mask_on_random_draws(self, rng):
         for n_r, n_t in [(4, 3), (6, 4), (12, 6), (3, 3)]:
-            h = sample_channel(random_model(rng, n_r, n_t), 2_000, seed=n_r * n_t)
+            h = draw_channels(random_model(rng, n_r, n_t), 2_000, seed=n_r * n_t)
             bad = mcsim._bad_draws(h, mcsim._gramian(h))
             assert np.array_equal(bad, svd_mask(h))
             assert not bad.any()
@@ -201,7 +201,7 @@ class TestChunkDriver:
         assert calls == [count, len(rows)]
         keep = np.setdiff1d(np.arange(count), rows)
         assert np.array_equal(h[keep], clean[0][0][keep])
-        a_h = schur.ul_decompose(model.r_tk).a.conj().T
+        a_h = schur.ul_decompose(model.r_tk).conj().T
         g = standard_complex_normal(substream(seed, mcsim._SNR_SPACE, 0, RETRY_OFFSET + 1), (len(rows) * 4, 3))
         assert np.array_equal(h[rows], model.h_d + (g @ a_h).reshape(len(rows), 4, 3))
         assert np.array_equal(w, mcsim._gramian(h))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zfrician import schur, snrdist
-from zfrician.channel import SystemDims, channel_from_parts, db_to_linear, sample_channel
+from zfrician.channel import SystemDims, channel_from_parts, db_to_linear
 from zfrician.rng import standard_complex_normal, substream
 from zfrician.snrdist import (
     GammaSnrDist,
@@ -19,7 +19,7 @@ from zfrician.snrdist import (
     virtual_gamma_snr,
 )
 
-from conftest import random_corr, random_mean, random_model
+from conftest import draw_channels, random_corr, random_mean, random_model
 
 
 class TestExactGammaSnr:
@@ -96,7 +96,7 @@ class TestVirtualGammaSnr:
         # Rician stream over Rayleigh interference with real correlation
         from zfrician.channel import build_correlation_matrix, preset
 
-        spec = preset("B1", 4, 3)
+        spec = preset("B1")
         r = build_correlation_matrix(spec, 3)
         mean = np.zeros((4, 3), dtype=complex)
         mean[:, 0] = random_mean(rng, 4, 1)[:, 0]
@@ -119,8 +119,27 @@ class TestMgfGamma:
         with pytest.raises(ValueError, match="pole"):
             mgf_gamma(d, 0.5)
 
+    def test_array_argument(self):
+        d = GammaSnrDist(shape=2, scale=3.0, kind="exact")
+        s = np.array([0.0, -1.0 / 3.0, 0.1])
+        assert np.allclose(mgf_gamma(d, s), [1.0, 0.25, 0.7**-2], rtol=1e-12)
+        with pytest.raises(ValueError, match="pole"):
+            mgf_gamma(d, np.array([-1.0, 0.5]))
+
 
 class TestRank1Params:
+    def test_full_rician_refused(self):
+        # B1 with an arbitrary mean in every column: Rician interferers and
+        # the condition fails, so the rank-1 m.g.f. does not apply
+        from zfrician.channel import build_correlation_matrix, preset
+
+        spec = preset("B1")
+        mean = random_mean(np.random.default_rng(3), 4, 3)
+        m = channel_from_parts(build_correlation_matrix(spec, 3), mean, spec.k_factor)
+        assert not schur.check_condition(m, 1).holds
+        with pytest.raises(ValueError, match="zero-mean interfering block"):
+            rank1_params(m, 5.0)
+
     def test_zero_mean_alpha(self, rng):
         m = random_model(rng, k=0.0)
         p = rank1_params(m, 5.0)
@@ -141,7 +160,7 @@ class TestRank1Params:
     def test_block_inverse_oracle(self, rng):
         from zfrician.channel import build_correlation_matrix, preset
 
-        spec = preset("B1", 4, 3)
+        spec = preset("B1")
         r = build_correlation_matrix(spec, 3)
         mean = np.zeros((4, 3), dtype=complex)
         mean[:, 0] = random_mean(rng, 4, 1)[:, 0]
@@ -197,7 +216,7 @@ class TestStream1Mgf:
         from zfrician.mcsim import sample_snr
 
         rng = np.random.default_rng(12)
-        spec = preset("A1", 4, 3)
+        spec = preset("A1")
         r = build_correlation_matrix(spec, 3)
         mean = np.zeros((4, 3), dtype=complex)
         mean[:, 0] = random_mean(rng, 4, 1)[:, 0]
@@ -238,7 +257,7 @@ class TestMatrixScMgf:
     def test_conditional_against_monte_carlo(self, rng):
         m = random_model(np.random.default_rng(8), condition=False)
         blocks = schur.conditional_params(m, 1)
-        h2 = sample_channel(m, 1, seed=77)[0][:, 1:]
+        h2 = draw_channels(m, 1, seed=77)[0][:, 1:]
         q2 = np.eye(4) - h2 @ np.linalg.solve(h2.conj().T @ h2, h2.conj().T)
         draws = conditional_sc_draws(m, blocks, h2, q2, 100_000, seed=13)
         for theta in (-0.3, -1.0):
