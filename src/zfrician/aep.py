@@ -71,10 +71,10 @@ def aep_exact_condition(n: int, gamma_ki: float, m: int, nodes: int = QUADRATURE
 def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES) -> float:
     """Exact stream-1 AEP for a Rician stream over zero-mean interference.
 
-    Integrates the determinantal m.g.f. node by node; nodes where the
-    effective argument is below the small-sigma threshold automatically use
-    the series form of the identical value.
+    Integrates the determinantal m.g.f., evaluated on all quadrature nodes
+    in one call; nodes where the effective argument is below the
+    small-sigma threshold use the series form of the identical value.
     """
     if p.alpha <= 0:
         raise ValueError("alpha must be positive (genuinely Rician stream)")
-    return aep_from_mgf(lambda s: [mgf_gamma1_det(p, x) for x in s.tolist()], m, nodes)
+    return aep_from_mgf(lambda s: mgf_gamma1_det(p, s), m, nodes)

@@ -177,7 +177,10 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
     b = sigma / np.sqrt(2.0)  # Laplacian scale for standard deviation sigma
     theta = np.linspace(theta_c - np.pi, theta_c + np.pi, _PAS_NODES)
     pas = np.exp(-np.abs(theta - theta_c) / b)
-    pas /= np.trapezoid(pas, theta)
+    area = np.trapezoid(pas, theta)
+    if not area > 0.0:  # every node underflowed: the PAS is narrower than the grid spacing
+        raise ValueError(f"azimuth_spread_deg {spec.azimuth_spread_deg!r} is too narrow for the PAS grid")
+    pas /= area
     d_n = spec.antenna_spacing_halfwavelengths
     r = np.empty((n_t, n_t), dtype=complex)
     for sep in range(n_t):

@@ -350,6 +350,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, got {json.dumps(data)[:40]}")
         unknown = set(data) - set(cfg.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -7,8 +7,10 @@ implemented as determinants of matrices with elementary-function entries:
 * arbitrary multiplicities, via the continuous extension with mixed
   partial derivatives of exp(sigma*lambda) (``f00_general``; its
   all-distinct case has the checked entry ``f00_distinct``),
-* S of low rank with an idempotent L (``f00_rank_v_idempotent`` and the
-  rank-1 specialization ``f00_rank1_idempotent``).
+* S of low rank with an idempotent L (``f00_rank_v_idempotent``, and
+  ``f00_rank1_idempotent`` for a whole array of rank-1 spectra). Both go
+  through one body that stacks the tables of many spectra for a single
+  determinant call.
 
 For rank-1 S with eigenvalue sigma and idempotent L of rank n in ambient
 dimension n_r, 0F0 collapses to the scalar confluent function
@@ -19,6 +21,7 @@ provides an independent estimate of the defining integral for validation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +33,6 @@ from .rng import chunks, standard_complex_normal, substream
 
 __all__ = [
     "EigenSpectrum",
-    "Rank1IdemParams",
     "factorial_product",
     "f11_series",
     "f00_distinct",
@@ -96,28 +98,12 @@ class EigenSpectrum:
         return [v for v, m in zip(self.values, self.multiplicities) for _ in range(m)]
 
 
-@dataclass(frozen=True)
-class Rank1IdemParams:
-    """Rank-1 spectrum sigma1 paired with a rank-n idempotent in dimension n_r."""
-
-    sigma1: float
-    n: int
-    n_r: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= self.n_r:
-            raise ValueError("need 1 <= n <= n_r")
-
-
 def factorial_product(n: int) -> float:
     """prod_{j=1}^{n} (j-1)!, the normalization constant of the Haar integrals."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = 1
-    for j in range(1, n + 1):
-        out *= math.factorial(j - 1)
     try:
-        return float(out)
+        return float(math.prod(map(math.factorial, range(n))))
     except OverflowError:
         raise RuntimeError("factorial product overflows double precision") from None
 
@@ -252,22 +238,47 @@ def _idempotent_constant_rows(v: int, rank_l: int, n_r: int) -> np.ndarray:
     return rows
 
 
-def _idempotent_table(sigmas, rank_l: int, n_r: int, shifts) -> np.ndarray:
-    """Determinant table for low-rank S against a rank_l idempotent L.
+@lru_cache(maxsize=None)
+def _idempotent_const(v: int, rank_l: int, n_r: int) -> float:
+    """F(n_r) / (F(n_r-v) F(n_r-rank_l) F(rank_l)), F = factorial_product, rounded once."""
+    f = [math.prod(map(math.factorial, range(k))) for k in range(n_r + 1)]
+    return f[n_r] // f[n_r - v] / (f[n_r - rank_l] * f[rank_l])
 
-    Row i <= v carries exp(sigma_i - shifts[i]) times a power of sigma_i in
-    the first rank_l columns and bare powers after; the remaining rows are
-    constant factorial/binomial entries.
+
+def _idempotent_f00(spectra: Sequence[Sequence[float]], rank_l: int, n_r: int) -> list:
+    """0F0(S, L) for each low-rank S against the same rank_l idempotent L.
+
+    Each spectrum holds v < n_r strictly decreasing nonzero floats. Row
+    i <= v of its table is exp(sigma_i) times powers of sigma_i, the rest
+    are constant; the stacked tables take one determinant call, and each
+    value is det * const / (prod_i sigma_i^(n_r-v) prod_{i<j} (sigma_i - sigma_j)).
+    Rows above LOG_DOMAIN_SIGMA keep exp(sigma_i) out of the table and are
+    added back in log domain. Entries and denominators use scalar float
+    arithmetic, so a spectrum rounds alike alone or in a stack.
     """
-    v = len(sigmas)
-    mat = np.empty((n_r, n_r))
-    mat[v:] = _idempotent_constant_rows(v, rank_l, n_r)
-    for i, (s, shift) in enumerate(zip(sigmas, shifts)):
-        e, e_bare = math.exp(s - shift), math.exp(-shift)
-        mat[i] = [e * s ** (rank_l - j) for j in range(1, rank_l + 1)] + [
-            e_bare * s ** (n_r - j) for j in range(rank_l + 1, n_r + 1)
-        ]
-    return mat
+    mats = np.empty((len(spectra), n_r, n_r))
+    for mat, sig in zip(mats, spectra):
+        v = len(sig)
+        mat[v:] = _idempotent_constant_rows(v, rank_l, n_r)
+        for i, s in enumerate(sig):
+            shift = s if s > LOG_DOMAIN_SIGMA else 0.0
+            e, e_bare = math.exp(s - shift), math.exp(-shift)
+            mat[i] = [e * s ** (rank_l - j) for j in range(1, rank_l + 1)] + [
+                e_bare * s ** (n_r - j) for j in range(rank_l + 1, n_r + 1)
+            ]
+    out = []
+    for det, sig in zip(np.linalg.det(mats).tolist(), spectra):
+        v = len(sig)
+        const = _idempotent_const(v, rank_l, n_r)
+        gaps = [a - b for a, b in itertools.combinations(sig, 2)]
+        shift = sum(s for s in sig if s > LOG_DOMAIN_SIGMA)
+        if shift and det:
+            log_den = sum((n_r - v) * math.log(abs(s)) for s in sig) + sum(math.log(g) for g in gaps)
+            sign = math.prod(math.copysign(1.0, s) ** (n_r - v) for s in sig)
+            out.append(math.copysign(math.exp(math.log(abs(det)) + shift - log_den + math.log(const)), det * sign))
+        else:
+            out.append(det * const / math.prod([s ** (n_r - v) for s in sig] + gaps))
+    return out
 
 
 def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) -> float:
@@ -283,58 +294,34 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
     scale = max(1.0, float(np.abs(sig).max()))
     if v > 1 and np.min(-np.diff(sig)) <= COINCIDENCE_RTOL * scale:
         raise ValueError("use f00_general")
-
-    shifts = np.where(sig > LOG_DOMAIN_SIGMA, sig, 0.0)
-    mat = _idempotent_table(sig, n_v, n_r, shifts)
-    const = (
-        factorial_product(n_r)
-        / factorial_product(n_r - v)
-        / factorial_product(n_r - n_v)
-        / factorial_product(n_v)
-    )
-    if shifts.any():
-        sign, logdet = np.linalg.slogdet(mat)
-        log_den = (n_r - v) * np.sum(np.log(np.abs(sig)))
-        den_sign = np.prod(np.sign(sig) ** (n_r - v))
-        for i in range(v):
-            for j in range(i + 1, v):
-                log_den += math.log(abs(sig[i] - sig[j]))
-                den_sign *= math.copysign(1.0, sig[i] - sig[j])
-        return float(sign * den_sign * math.exp(logdet + shifts.sum() - log_den + math.log(const)))
-    den = float(np.prod(sig ** (n_r - v)))
-    for i in range(v):
-        for j in range(i + 1, v):
-            den *= sig[i] - sig[j]
-    return float(np.linalg.det(mat) * const / den)
+    return _idempotent_f00([sig.tolist()], n_v, n_r)[0]
 
 
-@lru_cache(maxsize=None)
-def _rank1_const(n: int, n_r: int) -> float:
-    """Rank-1 Haar normalization (n_r-1)! / (F(n) F(n_r-n)), with F = factorial_product."""
-    return math.factorial(n_r - 1) / (factorial_product(n) * factorial_product(n_r - n))
-
-
-def f00_rank1_idempotent(p: Rank1IdemParams) -> float:
+def f00_rank1_idempotent(sigma1, n: int, n_r: int):
     """0F0 for rank-1 S against a rank-n idempotent, equal to 1F1(n; n_r; sigma1).
 
-    The rank-v determinant at v = 1: det(table) * const / sigma1^(n_r-1),
-    assembled in log domain above LOG_DOMAIN_SIGMA. Below the small-sigma
-    threshold the determinant form loses all precision, so the series
-    evaluation of the identical 1F1 value is used.
+    ``sigma1`` is a scalar or an array; an array gives an array of the same
+    shape. Below the small-sigma threshold the determinant form loses all
+    precision, so such entries sum the series of the identical 1F1 value.
+    For n == n_r the value is exp(sigma1). All other entries share one
+    determinant call, the rank-v body at v = 1.
     """
-    sigma, n, n_r = p.sigma1, p.n, p.n_r
-    if abs(sigma) < SMALL_SIGMA:
-        return f11_series(n, n_r, sigma)
-    if n == n_r:
-        # L is the identity: the Haar average is etr(S) itself.
-        return math.exp(sigma)
-    shift = sigma if sigma > LOG_DOMAIN_SIGMA else 0.0
-    mat = _idempotent_table((sigma,), n, n_r, (shift,))
-    const = _rank1_const(n, n_r)
-    if shift:
-        sign, logdet = np.linalg.slogdet(mat)
-        return float(sign * math.exp(logdet + shift - (n_r - 1) * math.log(sigma) + math.log(const)))
-    return float(np.linalg.det(mat) * const / sigma ** (n_r - 1))
+    if not 1 <= n <= n_r:
+        raise ValueError("need 1 <= n <= n_r")
+    sig = np.asarray(sigma1, dtype=float)
+    vals = sig.ravel().tolist()
+    out = np.empty(len(vals))
+    on_table = []
+    for k, s in enumerate(vals):
+        if abs(s) < SMALL_SIGMA:
+            out[k] = f11_series(n, n_r, s)
+        elif n == n_r:
+            out[k] = math.exp(s)  # L is the identity: the Haar average is etr(S) itself
+        else:
+            on_table.append(k)
+    if on_table:
+        out[on_table] = _idempotent_f00([(vals[k],) for k in on_table], n, n_r)
+    return out.reshape(sig.shape) if sig.ndim else float(out[0])
 
 
 def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: int, seed: int):

@@ -68,7 +68,6 @@ class ConditionReport:
 
     residual: float
     holds: bool
-    tol: float
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
@@ -161,7 +160,7 @@ def conditional_params(model: "ChannelModel", v: int) -> PartitionBlocks:
     )
 
 
-def check_condition(model: "ChannelModel", v: int, tol: float = CONDITION_TOL) -> ConditionReport:
+def check_condition(model: "ChannelModel", v: int) -> ConditionReport:
     """Measure the mean-correlation alignment H_d1 = H_d2 @ r_cond.
 
     The residual is relative to ||h_d||_F; a purely Rayleigh model
@@ -169,8 +168,8 @@ def check_condition(model: "ChannelModel", v: int, tol: float = CONDITION_TOL) -
     """
     blocks = conditional_params(model, v)
     residual = float(np.linalg.norm(blocks.m_matrix))
-    holds = residual <= tol * float(np.linalg.norm(model.h_d))
-    return ConditionReport(residual=residual, holds=holds, tol=tol)
+    holds = residual <= CONDITION_TOL * float(np.linalg.norm(model.h_d))
+    return ConditionReport(residual=residual, holds=holds)
 
 
 def virtual_scale(model: "ChannelModel") -> np.ndarray:

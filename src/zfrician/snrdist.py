@@ -167,18 +167,23 @@ def mgf_gamma1_series(p: Rank1MgfParams, s: float, rtol: float = 1e-12) -> float
     return gam * hypergeom.f11_series(p.n, p.n_r, _sigma1(p, s), rtol)
 
 
-def mgf_gamma1_det(p: Rank1MgfParams, s: float) -> float:
-    """Determinantal form of the stream-1 SNR m.g.f.
+def mgf_gamma1_det(p: Rank1MgfParams, s):
+    """Determinantal form of the stream-1 SNR m.g.f.; s may be an array.
 
-    Gamma factor times the rank-1 0F0 determinant at sigma1(s). Below the
-    small-sigma threshold (including s = 0) ``f00_rank1_idempotent`` sums
-    the series of the identical 1F1 value instead, the documented fallback
-    for the degenerate ratio.
+    Gamma factor times the rank-1 0F0 at sigma1(s), one
+    ``f00_rank1_idempotent`` call for all arguments (it sums the series of
+    the same 1F1 value below the small-sigma threshold, including s = 0).
+    Both factors are formed per argument in float arithmetic, so each
+    value is bit-identical to a scalar call.
     """
-    if s * p.gamma_k1 >= 1.0:
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr * p.gamma_k1 >= 1.0):
         raise ValueError("m.g.f. pole")
-    f00 = hypergeom.f00_rank1_idempotent(hypergeom.Rank1IdemParams(_sigma1(p, s), p.n, p.n_r))
-    return (1.0 - s * p.gamma_k1) ** (-p.n) * f00
+    args = s_arr.ravel().tolist()
+    gam = np.array([(1.0 - x * p.gamma_k1) ** (-p.n) for x in args])
+    f00 = hypergeom.f00_rank1_idempotent(np.array([_sigma1(p, x) for x in args]), p.n, p.n_r)
+    out = (gam * f00).reshape(s_arr.shape)
+    return out if s_arr.ndim else float(out)
 
 
 def _mgf_domain_factor(theta: np.ndarray, sc_corr: np.ndarray, n_v: int):

@@ -11,7 +11,6 @@ import pytest
 
 from zfrician import aep, cli, hypergeom, mcsim, schur, snrdist
 from zfrician.channel import LinkBudget, SystemDims, channel_from_parts
-from zfrician.hypergeom import Rank1IdemParams
 from zfrician.snrdist import Rank1MgfParams
 
 from conftest import random_corr, random_mean, random_model
@@ -31,7 +30,7 @@ def test_criterion_1_confluent_identity():
     for n_r in range(1, 7):
         for n in range(1, n_r + 1):
             for sigma1 in np.geomspace(0.1, 50.0, 20):
-                det_form = hypergeom.f00_rank1_idempotent(Rank1IdemParams(sigma1, n, n_r))
+                det_form = hypergeom.f00_rank1_idempotent(sigma1, n, n_r)
                 series = hypergeom.f11_series(n, n_r, sigma1)
                 worst = max(worst, abs(det_form - series) / abs(series))
     report(

@@ -266,6 +266,16 @@ class TestBadInput:
         config = dict(scenario="custom", k_db=1e9, azimuth_spread_deg=30.0)
         assert "k_db must lie between" in self.run(tmp_path, capsys, [], config)
 
+    @pytest.mark.parametrize("data", [5, None, "abc", [1]])
+    def test_config_not_an_object(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "raw.json"
+        cfg_path.write_text(json.dumps(data))
+        assert "must hold a JSON object" in self.run(tmp_path, capsys, ["--config", str(cfg_path)])
+
+    def test_spread_narrower_than_pas_grid(self, tmp_path, capsys):
+        config = dict(scenario="custom", k_db=5.0, azimuth_spread_deg=1e-4)
+        assert "azimuth_spread_deg 0.0001 is too narrow for the PAS grid" in self.run(tmp_path, capsys, [], config)
+
     def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda *args: float("nan"))
         err = self.run(tmp_path, capsys, ["--methods", "approx"])

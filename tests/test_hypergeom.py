@@ -2,12 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zfrician import hypergeom
 from zfrician.hypergeom import (
     EigenSpectrum,
-    Rank1IdemParams,
     cluster_spectrum,
     f00_distinct,
     f00_general,
@@ -95,7 +95,7 @@ class TestDistinct:
     def test_degenerate_limit_approaches_rank1_form(self):
         # perturbed rank-1 spectrum against a perturbed idempotent spectrum
         # converges to the closed low-rank value as the perturbation shrinks
-        target = f00_rank1_idempotent(Rank1IdemParams(1.7, 2, 4))
+        target = f00_rank1_idempotent(1.7, 2, 4)
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
             sig = [1.7, 3 * eps, 2 * eps, eps]
@@ -113,7 +113,7 @@ class TestGeneral:
     def test_matches_rank1_structure(self):
         s1, n, n_r = 1.7, 2, 4
         a = f00_general(EigenSpectrum([s1, 0.0], [1, 3]), EigenSpectrum([1.0, 0.0], [n, n_r - n]))
-        b = f00_rank1_idempotent(Rank1IdemParams(s1, n, n_r))
+        b = f00_rank1_idempotent(s1, n, n_r)
         assert abs(a - b) < 1e-9 * abs(b)
 
     def test_repeated_pair_against_haar(self):
@@ -133,7 +133,7 @@ class TestGeneral:
 class TestRankVIdempotent:
     def test_v1_collapse(self):
         a = f00_rank_v_idempotent([1.7], 2, 4)
-        b = f00_rank1_idempotent(Rank1IdemParams(1.7, 2, 4))
+        b = f00_rank1_idempotent(1.7, 2, 4)
         assert abs(a - b) < 1e-10 * abs(b)
 
     def test_against_haar(self):
@@ -161,23 +161,23 @@ class TestRankVIdempotent:
 class TestRank1Idempotent:
     @pytest.mark.parametrize("sigma1", [0.5, 5.0, 50.0])
     def test_equals_confluent_series(self, sigma1):
-        val = f00_rank1_idempotent(Rank1IdemParams(sigma1, 2, 4))
+        val = f00_rank1_idempotent(sigma1, 2, 4)
         ref = f11_series(2, 4, sigma1)
         assert abs(val - ref) <= 1e-8 * abs(ref)
 
     def test_identity_projector(self):
         # full-rank projector turns the average into etr(S) itself
-        val = f00_rank1_idempotent(Rank1IdemParams(3.3, 4, 4))
+        val = f00_rank1_idempotent(3.3, 4, 4)
         assert abs(val - math.exp(3.3)) < 1e-10 * math.exp(3.3)
 
     def test_closed_form_1_2(self):
         # 1F1(1;2;1) = e - 1
-        val = f00_rank1_idempotent(Rank1IdemParams(1.0, 1, 2))
+        val = f00_rank1_idempotent(1.0, 1, 2)
         assert abs(val - (math.e - 1.0)) < 1e-12
 
     def test_small_sigma_fallback_continuous(self):
-        lo = f00_rank1_idempotent(Rank1IdemParams(0.099, 2, 4))  # series branch
-        hi = f00_rank1_idempotent(Rank1IdemParams(0.101, 2, 4))  # determinant branch
+        lo = f00_rank1_idempotent(0.099, 2, 4)  # series branch
+        hi = f00_rank1_idempotent(0.101, 2, 4)  # determinant branch
         ref_lo = f11_series(2, 4, 0.099)
         ref_hi = f11_series(2, 4, 0.101)
         assert abs(lo - ref_lo) < 1e-12
@@ -185,9 +185,37 @@ class TestRank1Idempotent:
 
     def test_log_domain_branch(self):
         # above the exp-factoring threshold the value still matches the series
-        val = f00_rank1_idempotent(Rank1IdemParams(250.0, 2, 4))
+        val = f00_rank1_idempotent(250.0, 2, 4)
         ref = f11_series(2, 4, 250.0)
         assert abs(val - ref) < 1e-7 * abs(ref)
+
+    def test_array_equals_scalar_calls(self):
+        # series (|sigma| < 0.1), direct-determinant and log-domain entries in one array
+        sig = np.array([[0.05, -0.09, 0.1, -0.3], [1.7, -25.0, 150.0, 250.0], [-0.0, 380.0, 210.0, -7.5]])
+        for n, n_r in ((2, 4), (1, 5), (4, 4)):
+            arr = f00_rank1_idempotent(sig, n, n_r)
+            assert arr.shape == sig.shape
+            assert arr.ravel().tolist() == [f00_rank1_idempotent(float(x), n, n_r) for x in sig.ravel()]
+
+    def test_rank_out_of_range_refused(self):
+        with pytest.raises(ValueError, match="1 <= n <= n_r"):
+            f00_rank1_idempotent([1.0, 2.0], 5, 4)
+
+
+class TestLogDomainAssembly:
+    """Factoring exp(sigma) out of the table agrees with the direct determinant."""
+
+    @pytest.mark.parametrize(
+        "f00",
+        [lambda: f00_rank1_idempotent(250.0, 2, 4), lambda: f00_rank_v_idempotent([260.0, 245.0], 3, 4)],
+        ids=["v1", "v2"],
+    )
+    def test_agrees_with_direct(self, f00, monkeypatch):
+        logged = f00()
+        monkeypatch.setattr(hypergeom, "LOG_DOMAIN_SIGMA", math.inf)
+        direct = f00()
+        assert math.isfinite(direct) and direct > 0
+        assert abs(logged - direct) <= 1e-12 * direct
 
 
 class TestHaarOracle:

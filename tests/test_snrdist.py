@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zfrician import schur, snrdist
+from zfrician import aep, schur, snrdist
 from zfrician.channel import SystemDims, channel_from_parts, db_to_linear
 from zfrician.rng import standard_complex_normal, substream
 from zfrician.snrdist import (
@@ -191,6 +191,12 @@ class TestStream1Mgf:
         a = mgf_gamma1_series(p, -0.5)
         b = mgf_gamma1_det(p, -0.5)
         assert abs(a - b) <= 1e-7 * abs(a)
+
+    def test_det_on_quadrature_nodes_equals_scalar_calls(self):
+        s = aep._quad_rule(4, 96)[0]
+        for alpha in (0.15, 2.0, 40.0):  # alpha 0.15 mixes series and determinant nodes
+            p = self.params(alpha=alpha)
+            assert mgf_gamma1_det(p, s).tolist() == [mgf_gamma1_det(p, x) for x in s.tolist()]
 
     def test_det_negative_grid_positive_decreasing(self):
         p = self.params(alpha=2.0)
