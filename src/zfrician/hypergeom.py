@@ -102,8 +102,11 @@ def factorial_product(n: int) -> float:
     """prod_{j=1}^{n} (j-1)!, the normalization constant of the Haar integrals."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    out = 1
+    for j in range(1, n + 1):
+        out *= math.factorial(j - 1)
     try:
-        return float(math.prod(map(math.factorial, range(n))))
+        return float(out)
     except OverflowError:
         raise RuntimeError("factorial product overflows double precision") from None
 
@@ -150,10 +153,14 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
         raise RuntimeError("1F1 overflows double precision") from None
 
 
-def _check_decreasing(vals: Sequence[float], what: str) -> np.ndarray:
+def _check_distinct(vals: Sequence[float], what: str) -> np.ndarray:
+    """Refuse a spectrum that is not strictly decreasing or has near-coincident values."""
     arr = np.asarray(vals, dtype=float)
     if np.any(np.diff(arr) >= 0):
         raise ValueError(f"{what} eigenvalues must be strictly decreasing")
+    scale = max(1.0, float(np.abs(arr).max()))
+    if arr.size > 1 and np.min(-np.diff(arr)) <= COINCIDENCE_RTOL * scale:
+        raise ValueError("use f00_general")
     return arr
 
 
@@ -165,14 +172,10 @@ def f00_distinct(sigma: Sequence[float], lam: Sequence[float]) -> float:
     Near-coincident eigenvalues make the Vandermonde denominators blow up;
     such inputs are refused.
     """
-    sig = _check_decreasing(sigma, "sigma")
-    lmb = _check_decreasing(lam, "lambda")
+    sig = _check_distinct(sigma, "sigma")
+    lmb = _check_distinct(lam, "lambda")
     if sig.size != lmb.size:
         raise ValueError("spectra must have equal length")
-    for arr in (sig, lmb):
-        scale = max(1.0, float(np.abs(arr).max()))
-        if arr.size > 1 and np.min(-np.diff(arr)) <= COINCIDENCE_RTOL * scale:
-            raise ValueError("use f00_general")
     ones = [1] * sig.size
     return f00_general(EigenSpectrum(sig, ones), EigenSpectrum(lmb, ones))
 
@@ -240,9 +243,9 @@ def _idempotent_constant_rows(v: int, rank_l: int, n_r: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _idempotent_const(v: int, rank_l: int, n_r: int) -> float:
-    """F(n_r) / (F(n_r-v) F(n_r-rank_l) F(rank_l)), F = factorial_product, rounded once."""
-    f = [math.prod(map(math.factorial, range(k))) for k in range(n_r + 1)]
-    return f[n_r] // f[n_r - v] / (f[n_r - rank_l] * f[rank_l])
+    """F(n_r) / (F(n_r-v) F(n_r-rank_l) F(rank_l)), F = factorial_product; F(n_r) / F(n_r-v) in integers."""
+    num = math.prod(map(math.factorial, range(n_r - v, n_r)))
+    return num / (factorial_product(n_r - rank_l) * factorial_product(rank_l))
 
 
 def _idempotent_f00(spectra: Sequence[Sequence[float]], rank_l: int, n_r: int) -> list:
@@ -250,11 +253,12 @@ def _idempotent_f00(spectra: Sequence[Sequence[float]], rank_l: int, n_r: int) -
 
     Each spectrum holds v < n_r strictly decreasing nonzero floats. Row
     i <= v of its table is exp(sigma_i) times powers of sigma_i, the rest
-    are constant; the stacked tables take one determinant call, and each
+    are constant; the stacked tables take one slogdet call, and each
     value is det * const / (prod_i sigma_i^(n_r-v) prod_{i<j} (sigma_i - sigma_j)).
     Rows above LOG_DOMAIN_SIGMA keep exp(sigma_i) out of the table and are
-    added back in log domain. Entries and denominators use scalar float
-    arithmetic, so a spectrum rounds alike alone or in a stack.
+    added back to log|det|, which stays finite where det underflows.
+    Entries and denominators use scalar float arithmetic, so a spectrum
+    rounds alike alone or in a stack.
     """
     mats = np.empty((len(spectra), n_r, n_r))
     for mat, sig in zip(mats, spectra):
@@ -267,23 +271,25 @@ def _idempotent_f00(spectra: Sequence[Sequence[float]], rank_l: int, n_r: int) -
                 e_bare * s ** (n_r - j) for j in range(rank_l + 1, n_r + 1)
             ]
     out = []
-    for det, sig in zip(np.linalg.det(mats).tolist(), spectra):
+    signs, logdets = np.linalg.slogdet(mats)
+    for sign, logdet, sig in zip(signs.tolist(), logdets.tolist(), spectra):
         v = len(sig)
         const = _idempotent_const(v, rank_l, n_r)
         gaps = [a - b for a, b in itertools.combinations(sig, 2)]
         shift = sum(s for s in sig if s > LOG_DOMAIN_SIGMA)
-        if shift and det:
+        if shift and sign:
             log_den = sum((n_r - v) * math.log(abs(s)) for s in sig) + sum(math.log(g) for g in gaps)
-            sign = math.prod(math.copysign(1.0, s) ** (n_r - v) for s in sig)
-            out.append(math.copysign(math.exp(math.log(abs(det)) + shift - log_den + math.log(const)), det * sign))
+            sign *= math.prod(math.copysign(1.0, s) ** (n_r - v) for s in sig)
+            out.append(sign * math.exp(logdet + shift - log_den + math.log(const)))
         else:
+            det = sign * math.exp(logdet)  # bit for bit numpy's det
             out.append(det * const / math.prod([s ** (n_r - v) for s in sig] + gaps))
     return out
 
 
 def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) -> float:
     """0F0(S, L) for rank-v S (distinct nonzero spectrum) and idempotent rank-n_v L."""
-    sig = _check_decreasing(sigma_nonzero, "sigma")
+    sig = _check_distinct(sigma_nonzero, "sigma")
     v = sig.size
     if v >= n_r:
         raise ValueError("need rank v < n_r")
@@ -291,9 +297,6 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
         raise ValueError("need 1 <= n_v <= n_r")
     if np.min(np.abs(sig)) < SMALL_SIGMA:
         raise ValueError("small-eigenvalue regime: use series fallback")
-    scale = max(1.0, float(np.abs(sig).max()))
-    if v > 1 and np.min(-np.diff(sig)) <= COINCIDENCE_RTOL * scale:
-        raise ValueError("use f00_general")
     return _idempotent_f00([sig.tolist()], n_v, n_r)[0]
 
 

@@ -207,8 +207,14 @@ class TestLogDomainAssembly:
 
     @pytest.mark.parametrize(
         "f00",
-        [lambda: f00_rank1_idempotent(250.0, 2, 4), lambda: f00_rank_v_idempotent([260.0, 245.0], 3, 4)],
-        ids=["v1", "v2"],
+        [
+            lambda: f00_rank1_idempotent(250.0, 2, 4),
+            lambda: f00_rank_v_idempotent([260.0, 245.0], 3, 4),
+            # three shifted rows: exp(-390) * exp(-380) underflows a
+            # determinant whose pivots all fit a double
+            lambda: f00_rank_v_idempotent([400.0, 390.0, 380.0], 1, 4),
+        ],
+        ids=["v1", "v2", "v3_small_rank"],
     )
     def test_agrees_with_direct(self, f00, monkeypatch):
         logged = f00()
