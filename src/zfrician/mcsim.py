@@ -40,9 +40,14 @@ _SER_SPACE = 1
 _SNR_SPACE = 2
 _SC_SPACE = 3
 
-# A draw with det(W) > _CERTIFY * tr(W)^n_t has lambda_min / lambda_max of
-# W = H^H H above _CERTIFY, far above RANK_TOL^2; only the rest need an SVD.
+# A draw whose certified lambda_min / lambda_max of W = H^H H exceeds
+# _CERTIFY is far above RANK_TOL^2; only the rest need an SVD.
 _CERTIFY = 1e-12
+
+_QR_BLOCK = 2_048  # draws per Gram-Schmidt block, so a block's columns stay in cache
+
+# What a draw that keeps failing the rank check fails, for the redraw error.
+_RANK_FAILURE = f"have sigma_min/sigma_max <= RANK_TOL = {schur.RANK_TOL:g}"
 
 
 @dataclass(frozen=True)
@@ -63,18 +68,53 @@ class SnrSamples:
     values: np.ndarray
 
 
-def _gramian(h: np.ndarray) -> np.ndarray:
-    return h.conj().transpose(0, 2, 1) @ h
+def _gram_schmidt(h: np.ndarray):
+    """Factor every draw as H = QR by modified Gram-Schmidt, batch axis last.
 
-
-def _bad_draws(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Flag draws whose singular-value ratio is at most RANK_TOL; w = H^H H.
-
-    Draws certified by det(W) / tr(W)^n_t skip the SVD; the mask equals the
-    SVD test on every draw.
+    ``h`` has shape (n, n_r, n_t); returns ``q`` of shape (n_r, n_t, n) and
+    ``r_inv`` = R^-1 of shape (n_t, n_t, n). R^-1 is built alongside Q as
+    the column transform with Q = H R^-1. Python loops run over the n_t
+    columns only; every step is vectorized over a block of ``_QR_BLOCK``
+    draws. A rank-deficient draw gets non-finite entries, which the rank
+    certificate rejects.
     """
-    n_t = w.shape[-1]
-    certified = np.linalg.det(w).real > _CERTIFY * np.einsum("bii->b", w).real ** n_t
+    n, n_r, n_t = h.shape
+    q = np.empty((n_r, n_t, n), dtype=complex)
+    r_inv = np.zeros((n_t, n_t, n), dtype=complex)
+    r_inv[np.arange(n_t), np.arange(n_t)] = 1.0
+    buf = np.empty((max(n_r, n_t), n_t, min(n, _QR_BLOCK)), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in range(0, n, _QR_BLOCK):
+            a, t = q[..., b : b + _QR_BLOCK], r_inv[..., b : b + _QR_BLOCK]
+            a[...] = h[b : b + _QR_BLOCK].transpose(1, 2, 0)
+            for j in range(n_t):
+                col = a[:, j]
+                r_jj = np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
+                col /= r_jj
+                t[: j + 1, j] /= r_jj
+                if j + 1 == n_t:
+                    break
+                # r_jk = q_j^H a_k, then a_k -= q_j r_jk and t_k -= t_j r_jk for k > j
+                tmp = buf[:n_r, j + 1 :, : a.shape[-1]]
+                np.multiply(col.conj()[:, None], a[:, j + 1 :], out=tmp)
+                r_j = tmp.sum(axis=0)
+                np.multiply(col[:, None], r_j, out=tmp)
+                a[:, j + 1 :] -= tmp
+                tmp = buf[: j + 1, j + 1 :, : a.shape[-1]]
+                np.multiply(t[: j + 1, j, None], r_j, out=tmp)
+                t[: j + 1, j + 1 :] -= tmp
+    return q, r_inv
+
+
+def _bad_draws(h: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
+    """Flag draws whose singular-value ratio is at most RANK_TOL; r_inv = R^-1 of H = QR.
+
+    lambda_min / lambda_max of W = H^H H is at least 1 / (tr W ||R^-1||_F^2),
+    since lambda_max <= tr W and 1 / lambda_min = ||R^-1||_2^2. Draws this
+    bound certifies skip the SVD; the mask equals the SVD test on every draw.
+    """
+    tr_w = (h.real**2 + h.imag**2).sum(axis=(1, 2))
+    certified = tr_w * (r_inv.real**2 + r_inv.imag**2).sum(axis=(0, 1)) < 1.0 / _CERTIFY
     bad = np.zeros(h.shape[0], dtype=bool)
     idx = np.flatnonzero(~certified)
     if idx.size:
@@ -83,13 +123,28 @@ def _bad_draws(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _zf_output(q: np.ndarray, r_inv: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """ZF-filtered noise z = W^-1 H^H n = R^-1 Q^H n per draw, shape (n, n_t).
+
+    ``noise`` has shape (n, n_r). Q^H n is taken one column at a time, as
+    if n were one more column of the Gram-Schmidt factor of H.
+    """
+    resid = noise.T.copy()
+    proj = np.empty((q.shape[1], q.shape[2]), dtype=complex)
+    for j in range(q.shape[1]):
+        proj[j] = (q[:, j].conj() * resid).sum(axis=0)
+        resid -= q[:, j] * proj[j]
+    return np.einsum("ikb,kb->bi", r_inv, proj)
+
+
 def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
-    """Yield ``(rng, start, h, w)`` per chunk: full-rank draws and their Gramians.
+    """Yield ``(rng, start, h, q, r_inv)`` per chunk: full-rank draws and their factors.
 
     Each draw is ``h_d + G A^H`` with A the upper factor of r_tk, formed as
-    one GEMM over the chunk. Chunk k draws from ``substream(seed, space, k)``,
-    which the caller keeps using; rank-deficient draws are redrawn from the
-    chunk's retry substreams.
+    one GEMM over the chunk; ``q`` and ``r_inv`` are its batch-last
+    Gram-Schmidt factor (see ``_gram_schmidt``). Chunk k draws from
+    ``substream(seed, space, k)``, which the caller keeps using;
+    rank-deficient draws are redrawn from the chunk's retry substreams.
     """
     a_h = schur.ul_decompose(model.r_tk).conj().T
     n_r, n_t = model.h_d.shape
@@ -98,16 +153,20 @@ def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
         g = standard_complex_normal(rng, (n * n_r, n_t))
         return model.h_d + (g @ a_h).reshape(n, n_r, n_t)
 
+    def check(x):
+        return _bad_draws(x, _gram_schmidt(x)[1])
+
     redraws = 0
     for key, start, n in chunks(seed, (space,), total, _CHUNK):
         rng = substream(*key)
         h = draw(rng, n)
-        w = _gramian(h)
-        bad = _bad_draws(h, w)
+        q, r_inv = _gram_schmidt(h)
+        bad = _bad_draws(h, r_inv)
         if bad.any():
-            redraws += redraw(h, bad, draw, lambda x: _bad_draws(x, _gramian(x)), key)
-            w = _gramian(h)
-        yield rng, start, h, w
+            redraws += redraw(h, bad, draw, check, key, _RANK_FAILURE)
+            idx = np.flatnonzero(bad)
+            q[..., idx], r_inv[..., idx] = _gram_schmidt(h[idx])
+        yield rng, start, h, q, r_inv
     if redraws > 0.001 * total:
         warnings.warn(f"{redraws} rank-deficient channel redraws in {total} trials")
 
@@ -123,15 +182,14 @@ def simulate_ser(
     n_r, n_t = model.h_d.shape
     sqrt_gs = math.sqrt(budget.gamma_s)
     errors = np.zeros(n_t, dtype=np.int64)
-    for rng, _, h, w in _channel_chunks(model, seed, _SER_SPACE, trials):
+    for rng, _, h, q, r_inv in _channel_chunks(model, seed, _SER_SPACE, trials):
         n = h.shape[0]
         sym_idx = rng.integers(0, m, size=(n, n_t))
         noise = standard_complex_normal(rng, (n, n_r))
         x = np.exp(2j * np.pi * sym_idx / m)
         # y = x + W^-1 H^H n / sqrt(gamma_s): the received vector is
         # sqrt(gamma_s) H x + n with unit noise power.
-        z = np.linalg.solve(w, (h.conj().transpose(0, 2, 1) @ noise[:, :, None]))[:, :, 0]
-        y = x + z / sqrt_gs
+        y = x + _zf_output(q, r_inv, noise) / sqrt_gs
         det_idx = np.mod(np.rint(np.angle(y) * m / (2.0 * np.pi)), m).astype(np.int64)
         errors += (det_idx != sym_idx).sum(axis=0)
     out = []
@@ -149,9 +207,10 @@ def sample_snr(
     if count < 1_000:
         raise ValueError("need at least 1000 samples")
     values = np.empty((count, model.n_t))
-    for _, start, h, w in _channel_chunks(model, seed, _SNR_SPACE, count):
-        inv_diag = np.einsum("bii->bi", np.linalg.inv(w)).real
-        values[start : start + h.shape[0]] = budget.gamma_s / inv_diag
+    for _, start, h, _, r_inv in _channel_chunks(model, seed, _SNR_SPACE, count):
+        # [W^-1]_ii = ||row i of R^-1||^2
+        inv_diag = (r_inv.real**2 + r_inv.imag**2).sum(axis=1)
+        values[start : start + h.shape[0]] = budget.gamma_s / inv_diag.T
     return [SnrSamples(stream=i + 1, values=values[:, i].copy()) for i in range(model.n_t)]
 
 
@@ -167,7 +226,7 @@ def sample_sc(model: ChannelModel, v: int, count: int, seed: int) -> np.ndarray:
     if not 1 <= v < model.n_t:
         raise ValueError("need 1 <= v < n_t")
     out = np.empty((count, v, v), dtype=complex)
-    for _, start, h, _ in _channel_chunks(model, seed, _SC_SPACE, count):
+    for _, start, h, _, _ in _channel_chunks(model, seed, _SC_SPACE, count):
         r11 = np.linalg.qr(np.concatenate([h[:, :, v:], h[:, :, :v]], axis=2), mode="r")[:, -v:, -v:]
         sc = r11.conj().transpose(0, 2, 1) @ r11
         out[start : start + h.shape[0]] = 0.5 * (sc + sc.conj().transpose(0, 2, 1))

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "standard_complex_normal", "chunks", "redraw", "RETRY_OFFSET"]
+__all__ = ["substream", "standard_complex_normal", "chunks", "redraw", "RETRY_OFFSET", "MAX_REDRAW_ROUNDS"]
 
 RETRY_OFFSET = 1_000_000
+# A check that flags a fixed share p of draws leaves a chunk of 16,384 rows
+# flagged after 64 rounds with probability below 1e-5 for p <= 0.7; a
+# model that keeps failing past this is degenerate, not unlucky.
+MAX_REDRAW_ROUNDS = 64
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -39,19 +43,23 @@ def chunks(seed: int, path: tuple, total: int, size: int):
         yield (seed, *path, k), start, min(size, total - start)
 
 
-def redraw(x: np.ndarray, bad: np.ndarray, draw, check, key: tuple) -> int:
+def redraw(x: np.ndarray, bad: np.ndarray, draw, check, key: tuple, failure: str) -> int:
     """Replace the rows of x flagged by ``bad`` in place; return rows replaced.
 
     Round r draws every flagged row at once as ``draw(rng, count)`` from
     ``substream(*key, RETRY_OFFSET + r)``; ``check(rows)`` then flags the
     replacements that must go round again. Unflagged rows are not touched.
+    Rows still flagged after ``MAX_REDRAW_ROUNDS`` rounds raise a ValueError
+    that names the chunk key and ``failure``, what the check rejects.
     """
     idx = np.flatnonzero(bad)
     replaced = 0
-    retry = 0
-    while idx.size:
-        retry += 1
+    for retry in range(1, MAX_REDRAW_ROUNDS + 1):
         replaced += idx.size
         x[idx] = draw(substream(*key, RETRY_OFFSET + retry), idx.size)
         idx = idx[check(x[idx])]
-    return replaced
+        if not idx.size:
+            return replaced
+    raise ValueError(
+        f"chunk key {key}: {idx.size} draws still {failure} after {MAX_REDRAW_ROUNDS} redraw rounds"
+    )

@@ -55,7 +55,7 @@ def random_model(
 
 def draw_channels(model: ChannelModel, count: int, seed: int) -> np.ndarray:
     """``count`` full-rank channel draws from the simulator's sampler, shape (count, n_r, n_t)."""
-    return np.concatenate([h for _, _, h, _ in mcsim._channel_chunks(model, seed, _TEST_SPACE, count)])
+    return np.concatenate([h for _, _, h, _, _ in mcsim._channel_chunks(model, seed, _TEST_SPACE, count)])
 
 
 @pytest.fixture

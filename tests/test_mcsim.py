@@ -3,17 +3,27 @@
 import numpy as np
 import pytest
 
-from zfrician import mcsim, schur
+from zfrician import cli, mcsim, schur
 from zfrician.channel import LinkBudget, channel_from_parts
 from zfrician.mcsim import ks_test_gamma, sample_sc, sample_snr, simulate_ser
-from zfrician.rng import RETRY_OFFSET, chunks, redraw, standard_complex_normal, substream
+from zfrician.rng import MAX_REDRAW_ROUNDS, RETRY_OFFSET, chunks, redraw, standard_complex_normal, substream
 from zfrician.snrdist import GammaSnrDist, exact_gamma_snr
 
 from conftest import draw_channels, random_model
 
+EPS = np.finfo(float).eps
+
 
 def rayleigh_identity_model():
     return channel_from_parts(np.eye(3), np.zeros((4, 3)), 0.0)
+
+
+def b1_rayleigh_model(n_r, n_t):
+    return cli.build_model(cli.ExperimentConfig(scenario="B1", fading_case="rayleigh_only", n_r=n_r, n_t=n_t))
+
+
+def gramian(h):
+    return h.conj().transpose(0, 2, 1) @ h
 
 
 class TestSimulateSer:
@@ -57,6 +67,15 @@ class TestSimulateSer:
         m = random_model(rng)
         with pytest.raises(ValueError, match="1000"):
             simulate_ser(m, LinkBudget.from_gamma_b_db(5.0, 3, 4), 4, 100, seed=0)
+
+    def test_rank_deficient_model_raises_instead_of_hanging(self):
+        # sigma_min / sigma_max of every draw is about 1.4e-12 < RANK_TOL, so
+        # no redraw round can succeed
+        model = channel_from_parts(np.diag([1.5, 1.5, 3e-24]), np.zeros((4, 3)), 0.0)
+        budget = LinkBudget.from_gamma_b_db(5.0, 3, 4)
+        with pytest.raises(ValueError, match=r"chunk key \(1, 1, 0\): 1000 draws .*RANK_TOL = 1e-10") as exc:
+            simulate_ser(model, budget, 4, 1000, 1)
+        assert "\n" not in str(exc.value)
 
 
 class TestSampleSnr:
@@ -137,13 +156,36 @@ def svd_mask(h):
     return sv[:, -1] <= schur.RANK_TOL * sv[:, 0]
 
 
+def certified_mask(h):
+    return mcsim._bad_draws(h, mcsim._gram_schmidt(h)[1])
+
+
 class TestRankCheck:
     def test_certified_mask_equals_svd_mask_on_random_draws(self, rng):
         for n_r, n_t in [(4, 3), (6, 4), (12, 6), (3, 3)]:
             h = draw_channels(random_model(rng, n_r, n_t), 2_000, seed=n_r * n_t)
-            bad = mcsim._bad_draws(h, mcsim._gramian(h))
+            bad = certified_mask(h)
             assert np.array_equal(bad, svd_mask(h))
             assert not bad.any()
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_b1_square_draws_rarely_reach_the_svd(self, n, monkeypatch):
+        # B1's 3-degree spread makes W ill-conditioned; the certificate must
+        # still clear 99% of the draws without an SVD
+        count = 4_000
+        model = b1_rayleigh_model(n, n)
+        lapack_svd = np.linalg.svd
+        rows = []
+
+        def counting_svd(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return lapack_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        h = draw_channels(model, count, seed=n)
+        assert sum(rows) < 0.01 * count
+        monkeypatch.setattr(np.linalg, "svd", lapack_svd)
+        assert np.array_equal(certified_mask(h), svd_mask(h))
 
     def test_certified_mask_equals_svd_mask_near_deficient(self, rng):
         # column 1 = column 0 + delta * noise, so sigma_min / sigma_max ~ delta,
@@ -153,7 +195,7 @@ class TestRankCheck:
             h = (rng.standard_normal((deltas.size, n_r, n_t)) + 1j * rng.standard_normal((deltas.size, n_r, n_t))) / 2
             noise = rng.standard_normal((deltas.size, n_r)) + 1j * rng.standard_normal((deltas.size, n_r))
             h[:, :, 1] = h[:, :, 0] + deltas[:, None] * noise
-            bad = mcsim._bad_draws(h, mcsim._gramian(h))
+            bad = certified_mask(h)
             assert np.array_equal(bad, svd_mask(h))
             assert bad.any() and not bad.all()
 
@@ -175,20 +217,35 @@ class TestChunkDriver:
         bad[[3, 7, 11]] = True
         # the check rejects the first replacement once, then accepts all
         rejects = iter([np.array([True, False, False]), np.array([False])])
-        assert redraw(x, bad, draw, lambda rows: next(rejects), key) == 4
+        assert redraw(x, bad, draw, lambda rows: next(rejects), key, "fail") == 4
         assert np.array_equal(x[~bad], before[~bad])
         first = draw(substream(*key, RETRY_OFFSET + 1), 3)
         second = draw(substream(*key, RETRY_OFFSET + 2), 1)
         assert np.array_equal(x[[7, 11]], first[1:])
         assert np.array_equal(x[3], second[0])
 
+    def test_redraw_gives_up_after_max_rounds(self):
+        key = (5, 9, 0)
+        draws = []
+
+        def draw(g, n):
+            draws.append(n)
+            return standard_complex_normal(g, (n, 3))
+
+        x = draw(substream(*key), 20)
+        bad = np.zeros(20, dtype=bool)
+        bad[[3, 7]] = True
+        with pytest.raises(ValueError, match=r"^chunk key \(5, 9, 0\): 2 draws still fail after 64 redraw rounds$"):
+            redraw(x, bad, draw, lambda rows: np.ones(rows.shape[0], dtype=bool), key, "fail")
+        assert draws == [20] + [2] * MAX_REDRAW_ROUNDS
+
     def test_channel_chunks_redraw_from_retry_substream(self, rng, monkeypatch):
         model = random_model(rng)
         seed, count, rows = 31, 1_500, [2, 5]
-        clean = [(h.copy(), w.copy()) for _, _, h, w in mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count)]
+        clean = [h.copy() for _, _, h, _, _ in mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count)]
         calls = []
 
-        def fake_bad(h, w):
+        def fake_bad(h, r_inv):
             calls.append(h.shape[0])
             bad = np.zeros(h.shape[0], dtype=bool)
             if len(calls) == 1:
@@ -197,14 +254,16 @@ class TestChunkDriver:
 
         monkeypatch.setattr(mcsim, "_bad_draws", fake_bad)
         with pytest.warns(UserWarning, match="2 rank-deficient channel redraws in 1500"):
-            ((_, _, h, w),) = list(mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count))
+            ((_, _, h, q, r_inv),) = list(mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count))
         assert calls == [count, len(rows)]
         keep = np.setdiff1d(np.arange(count), rows)
-        assert np.array_equal(h[keep], clean[0][0][keep])
+        assert np.array_equal(h[keep], clean[0][keep])
         a_h = schur.ul_decompose(model.r_tk).conj().T
         g = standard_complex_normal(substream(seed, mcsim._SNR_SPACE, 0, RETRY_OFFSET + 1), (len(rows) * 4, 3))
         assert np.array_equal(h[rows], model.h_d + (g @ a_h).reshape(len(rows), 4, 3))
-        assert np.array_equal(w, mcsim._gramian(h))
+        # the replaced rows are refactored, so the factor matches the final draws
+        q_ref, r_inv_ref = mcsim._gram_schmidt(h)
+        assert np.array_equal(q, q_ref) and np.array_equal(r_inv, r_inv_ref)
 
 
 class TestBatchedSc:
@@ -213,10 +272,51 @@ class TestBatchedSc:
         model = random_model(rng, n_r, n_t)
         seed, count = 40 + n_r, 1_000
         samples = sample_sc(model, v, count, seed)
-        ((_, _, h, _),) = list(mcsim._channel_chunks(model, seed, mcsim._SC_SPACE, count))
+        ((_, _, h, _, _),) = list(mcsim._channel_chunks(model, seed, mcsim._SC_SPACE, count))
         for k in range(count):
             oracle = schur.gramian_and_sc(h[k], v)
             assert np.abs(samples[k] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+LAPACK_SHAPES = [(2, 2), (3, 3), (4, 3), (6, 4), (8, 6), (8, 8), (12, 8), (12, 12)]
+
+
+class TestGramSchmidtKernel:
+    """ZF outputs and SNRs of the Gram-Schmidt factor against LAPACK on the same draws.
+
+    Both sides err by about eps * cond(W) (normal equations on the LAPACK
+    side); the tolerance 64 eps cond(W) per draw was fixed before measuring.
+    """
+
+    @staticmethod
+    def model(kind, n_r, n_t, rng):
+        return random_model(rng, n_r, n_t) if kind == "random" else b1_rayleigh_model(n_r, n_t)
+
+    @pytest.mark.parametrize("kind", ["random", "B1"])
+    @pytest.mark.parametrize("n_r,n_t", LAPACK_SHAPES)
+    def test_zf_output_matches_lapack_solve(self, rng, kind, n_r, n_t):
+        count = 2_000
+        model = self.model(kind, n_r, n_t, rng)
+        ((_, _, h, q, r_inv),) = list(mcsim._channel_chunks(model, 50 + n_r, mcsim._SER_SPACE, count))
+        noise = standard_complex_normal(rng, (count, n_r))
+        w = gramian(h)
+        ref = np.linalg.solve(w, h.conj().transpose(0, 2, 1) @ noise[:, :, None])[:, :, 0]
+        z = mcsim._zf_output(q, r_inv, noise)
+        tol = 64 * EPS * np.linalg.cond(w)
+        assert np.all(np.linalg.norm(z - ref, axis=1) <= tol * np.linalg.norm(ref, axis=1))
+
+    @pytest.mark.parametrize("kind", ["random", "B1"])
+    @pytest.mark.parametrize("n_r,n_t", LAPACK_SHAPES)
+    def test_snr_matches_lapack_inverse(self, rng, kind, n_r, n_t):
+        count, seed, gamma_s = 2_000, 60 + n_r, 5.0
+        model = self.model(kind, n_r, n_t, rng)
+        budget = LinkBudget(gamma_s * n_t, gamma_s, gamma_s / 2)
+        got = np.stack([s.values for s in sample_snr(model, budget, count, seed)], axis=1)
+        ((_, _, h, _, _),) = list(mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count))
+        w = gramian(h)
+        ref = gamma_s / np.einsum("bii->bi", np.linalg.inv(w)).real
+        tol = 64 * EPS * np.linalg.cond(w)
+        assert np.all(np.abs(got - ref) <= tol[:, None] * ref)
 
 
 class TestKsTestGamma:
