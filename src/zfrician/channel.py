@@ -168,7 +168,8 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
     the PAS-weighted average of exp(j*2*pi*d_n*(p-q)*sin(theta)), with a
     Laplacian PAS of standard deviation AS centered on theta_c, truncated
     to +-180 deg, on a fixed 2048-node trapezoidal grid. The result is
-    trace-renormalized to n_t.
+    trace-renormalized to n_t. A spread so narrow that lambda_min <=
+    n_t eps lambda_max (numerically singular) raises a ValueError.
     """
     if n_t == 1:
         return np.ones((1, 1), dtype=complex)
@@ -191,8 +192,11 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
             r[p, p + sep] = np.conj(rho)
     r = 0.5 * (r + r.conj().T)
     eig = np.linalg.eigvalsh(r)
-    if eig[0] < -1e-12 * max(1.0, eig[-1]):
-        raise RuntimeError("correlation synthesis failed")
+    if eig[0] <= n_t * np.finfo(float).eps * eig[-1]:
+        raise ValueError(
+            f"azimuth_spread_deg {spec.azimuth_spread_deg!r} gives a numerically singular transmit"
+            f" correlation at n_t = {n_t} (lambda_min/lambda_max = {eig[0] / eig[-1]:.2g})"
+        )
     r *= n_t / np.trace(r).real
     return r
 

@@ -59,6 +59,20 @@ class TestCorrelationMatrix:
             assert np.linalg.eigvalsh(r).min() > -1e-12
             assert abs(np.trace(r).real - 4) < 1e-12
 
+    @pytest.mark.parametrize("as_deg", [1e-3, 0.01])
+    def test_refuses_numerically_singular_correlation(self, as_deg):
+        with pytest.raises(ValueError, match=f"azimuth_spread_deg {as_deg!r} .* singular .* n_t = 3"):
+            build_correlation_matrix(spec_with(as_deg=as_deg), 3)
+
+    def test_presets_and_moderate_spreads_stay_accepted(self):
+        for name in ("B1", "A1"):
+            for n_t in range(2, 13):
+                build_correlation_matrix(preset(name), n_t)
+        for as_deg in np.linspace(2.0, 60.0, 30):
+            for n_t in range(2, 7):
+                eig = np.linalg.eigvalsh(build_correlation_matrix(spec_with(as_deg=as_deg), n_t))
+                assert eig[0] > 1e-6 * eig[-1]
+
     def test_b1_entry_matches_quadrature_oracle(self):
         # oracle value (adaptive quadrature, sep = -1): high correlation
         oracle = 0.8107268359413632 - 0.49377274149903044j

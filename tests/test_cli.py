@@ -276,6 +276,13 @@ class TestBadInput:
         config = dict(scenario="custom", k_db=5.0, azimuth_spread_deg=1e-4)
         assert "azimuth_spread_deg 0.0001 is too narrow for the PAS grid" in self.run(tmp_path, capsys, [], config)
 
+    @pytest.mark.parametrize("case", cli.FADING_CASES)
+    @pytest.mark.parametrize("spread", [1e-3, 0.01])
+    def test_spread_giving_singular_correlation(self, tmp_path, capsys, case, spread):
+        config = dict(scenario="custom", fading_case=case, k_db=3.0, azimuth_spread_deg=spread)
+        err = self.run(tmp_path, capsys, [], config)
+        assert f"azimuth_spread_deg {spread!r} gives a numerically singular transmit correlation at n_t = 3" in err
+
     def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda *args: float("nan"))
         err = self.run(tmp_path, capsys, ["--methods", "approx"])
