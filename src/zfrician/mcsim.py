@@ -40,13 +40,13 @@ _SER_SPACE = 1
 _SNR_SPACE = 2
 _SC_SPACE = 3
 
-# A draw whose certified lambda_min / lambda_max of W = H^H H exceeds
+# A draw whose lower bound on lambda_min / lambda_max of W = H^H H exceeds
 # _CERTIFY is far above RANK_TOL^2; only the rest need an SVD.
 _CERTIFY = 1e-12
 
 _QR_BLOCK = 2_048  # draws per Gram-Schmidt block, so a block's columns stay in cache
 
-# What a draw that keeps failing the rank check fails, for the redraw error.
+# How the redraw error describes draws that keep failing the rank check.
 _RANK_FAILURE = f"have sigma_min/sigma_max <= RANK_TOL = {schur.RANK_TOL:g}"
 
 
@@ -106,6 +106,17 @@ def _gram_schmidt(h: np.ndarray):
     return q, r_inv
 
 
+def _inv_diag(r_inv: np.ndarray) -> np.ndarray:
+    """[W^-1]_ii = ||row i of R^-1||^2 per draw, shape (n_t, n).
+
+    Sums squares of the float view (real and imaginary parts interleaved
+    along the batch axis), so no complex temporary is formed.
+    """
+    v = r_inv.view(float)
+    s = np.einsum("ikb,ikb->ib", v, v)
+    return s[:, 0::2] + s[:, 1::2]
+
+
 def _bad_draws(h: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
     """Flag draws whose singular-value ratio is at most RANK_TOL; r_inv = R^-1 of H = QR.
 
@@ -113,8 +124,9 @@ def _bad_draws(h: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
     since lambda_max <= tr W and 1 / lambda_min = ||R^-1||_2^2. Draws this
     bound certifies skip the SVD; the mask equals the SVD test on every draw.
     """
-    tr_w = (h.real**2 + h.imag**2).sum(axis=(1, 2))
-    certified = tr_w * (r_inv.real**2 + r_inv.imag**2).sum(axis=(0, 1)) < 1.0 / _CERTIFY
+    hv = h.reshape(h.shape[0], -1).view(float)
+    tr_w = np.einsum("bi,bi->b", hv, hv)
+    certified = tr_w * _inv_diag(r_inv).sum(axis=0) < 1.0 / _CERTIFY
     bad = np.zeros(h.shape[0], dtype=bool)
     idx = np.flatnonzero(~certified)
     if idx.size:
@@ -208,9 +220,7 @@ def sample_snr(
         raise ValueError("need at least 1000 samples")
     values = np.empty((count, model.n_t))
     for _, start, h, _, r_inv in _channel_chunks(model, seed, _SNR_SPACE, count):
-        # [W^-1]_ii = ||row i of R^-1||^2
-        inv_diag = (r_inv.real**2 + r_inv.imag**2).sum(axis=1)
-        values[start : start + h.shape[0]] = budget.gamma_s / inv_diag.T
+        values[start : start + h.shape[0]] = budget.gamma_s / _inv_diag(r_inv).T
     return [SnrSamples(stream=i + 1, values=values[:, i].copy()) for i in range(model.n_t)]
 
 
