@@ -54,12 +54,12 @@ def redraw(x: np.ndarray, bad: np.ndarray, draw, check, key: tuple, failure: str
     """
     idx = np.flatnonzero(bad)
     replaced = 0
-    for retry in range(1, MAX_REDRAW_ROUNDS + 1):
+    retry = 0
+    while idx.size:
+        if retry == MAX_REDRAW_ROUNDS:
+            raise ValueError(f"chunk key {key}: {idx.size} draws still {failure} after {retry} redraw rounds")
+        retry += 1
         replaced += idx.size
         x[idx] = draw(substream(*key, RETRY_OFFSET + retry), idx.size)
         idx = idx[check(x[idx])]
-        if not idx.size:
-            return replaced
-    raise ValueError(
-        f"chunk key {key}: {idx.size} draws still {failure} after {MAX_REDRAW_ROUNDS} redraw rounds"
-    )
+    return replaced
