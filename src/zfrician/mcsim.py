@@ -158,8 +158,10 @@ def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
     ``substream(seed, space, k)``, which the caller keeps using;
     rank-deficient draws are redrawn from the chunk's retry substreams.
     """
-    a_h = schur.ul_decompose(model.r_tk).conj().T
     n_r, n_t = model.h_d.shape
+    if n_t > n_r:  # every draw would be rank-deficient, yet the SVD test sees only n_r values
+        raise ValueError(f"need n_t <= n_r for ZF, got n_r = {n_r}, n_t = {n_t}")
+    a_h = schur.ul_decompose(model.r_tk).conj().T
 
     def draw(rng, n):
         g = standard_complex_normal(rng, (n * n_r, n_t))

@@ -77,6 +77,14 @@ class TestSimulateSer:
             simulate_ser(model, budget, 4, 1000, 1)
         assert "\n" not in str(exc.value)
 
+    def test_more_streams_than_receivers_refused(self):
+        model = channel_from_parts(np.eye(3), np.ones((2, 3)), 1.0)
+        budget = LinkBudget.from_gamma_b_db(10.0, 3, 4)
+        with pytest.raises(ValueError, match="need n_t <= n_r for ZF, got n_r = 2, n_t = 3"):
+            simulate_ser(model, budget, 4, 1000, 1)
+        with pytest.raises(ValueError, match="need n_t <= n_r"):
+            sample_snr(model, budget, 1000, 1)
+
 
 class TestSampleSnr:
     def test_identity_rayleigh_mean(self):
@@ -235,7 +243,8 @@ class TestChunkDriver:
         x = draw(substream(*key), 20)
         bad = np.zeros(20, dtype=bool)
         bad[[3, 7]] = True
-        with pytest.raises(ValueError, match=r"^chunk key \(5, 9, 0\): 2 draws still fail after 64 redraw rounds$"):
+        message = rf"^chunk key \(5, 9, 0\): 2 draws still fail after {MAX_REDRAW_ROUNDS} redraw rounds$"
+        with pytest.raises(ValueError, match=message):
             redraw(x, bad, draw, lambda rows: np.ones(rows.shape[0], dtype=bool), key, "fail")
         assert draws == [20] + [2] * MAX_REDRAW_ROUNDS
 
