@@ -19,7 +19,9 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,20 +230,40 @@ def _point_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(_SIM_POINT_STREAM, idx)).generate_state(1)[0])
 
 
+def _sim_workers(points: int) -> int:
+    """Threads for a sweep's simulations: one per grid point, at most one per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(points, cpus)
+
+
 def run_experiment(cfg: ExperimentConfig):
-    """Run one configured sweep; returns (rows, summary)."""
+    """Run one configured sweep; returns (rows, summary).
+
+    With ``sim``, the grid points' simulations run side by side on a thread
+    pool (numpy releases the GIL in their heavy steps). Each point draws
+    from its own point seed, so the rows do not depend on the worker count.
+    """
     model = build_model(cfg)
     methods = cfg.resolved_methods()
     report = schur.check_condition(model, cfg.v)
     n = model.n_r - model.n_t + 1
+    budgets = [LinkBudget.from_gamma_b_db(gb, cfg.n_t, cfg.m) for gb in cfg.gamma_b_grid_db]
+
+    sims = [None] * len(budgets)
+    if "sim" in methods:
+
+        def simulate(idx):
+            return mcsim.simulate_ser(model, budgets[idx], cfg.m, cfg.trials, _point_seed(cfg.seed, idx))
+
+        with ThreadPoolExecutor(max_workers=_sim_workers(len(budgets))) as pool:
+            sims = list(pool.map(simulate, range(len(budgets))))
 
     rows: list[ResultRow] = []
     gap = None
-    for idx, gb in enumerate(cfg.gamma_b_grid_db):
-        budget = LinkBudget.from_gamma_b_db(gb, cfg.n_t, cfg.m)
-        sim = None
-        if "sim" in methods:
-            sim = mcsim.simulate_ser(model, budget, cfg.m, cfg.trials, _point_seed(cfg.seed, idx))
+    for gb, budget, sim in zip(cfg.gamma_b_grid_db, budgets, sims):
         det_val = None
         if "determinantal" in methods:
             params = snrdist.rank1_params(model, budget.gamma_s)

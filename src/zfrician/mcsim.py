@@ -196,11 +196,12 @@ def simulate_ser(
     n_r, n_t = model.h_d.shape
     sqrt_gs = math.sqrt(budget.gamma_s)
     errors = np.zeros(n_t, dtype=np.int64)
+    constellation = np.exp(2j * np.pi * np.arange(m) / m)
     for rng, _, h, q, r_inv in _channel_chunks(model, seed, _SER_SPACE, trials):
         n = h.shape[0]
         sym_idx = rng.integers(0, m, size=(n, n_t))
         noise = standard_complex_normal(rng, (n, n_r))
-        x = np.exp(2j * np.pi * sym_idx / m)
+        x = constellation[sym_idx]
         # y = x + W^-1 H^H n / sqrt(gamma_s): the received vector is
         # sqrt(gamma_s) H x + n with unit noise power.
         y = x + _zf_output(q, r_inv, noise) / sqrt_gs

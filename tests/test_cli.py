@@ -2,6 +2,8 @@
 
 import csv
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +171,72 @@ class TestEmitCsv:
         emit_csv(run_experiment(cfg)[0], p1)
         emit_csv(run_experiment(cfg)[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSimPool:
+    """A sweep's simulations run on a thread pool without changing a byte."""
+
+    def sweep_csv(self, tmp_path, name):
+        cfg = tiny_cfg(gamma_b_grid_db=[0.0, 3.0, 6.0, 9.0, 12.0], methods=("exact", "approx", "sim"))
+        path = tmp_path / name
+        emit_csv(run_experiment(cfg)[0], path)
+        return path.read_bytes()
+
+    def test_csv_independent_of_worker_count(self, tmp_path, monkeypatch):
+        simulate = cli.mcsim.simulate_ser
+        first = cli._point_seed(11, 0)
+
+        def slow_first_point(model, budget, m, trials, seed):
+            if seed == first:  # with several workers the first point then finishes last
+                time.sleep(0.3)
+            return simulate(model, budget, m, trials, seed)
+
+        monkeypatch.setattr(cli.mcsim, "simulate_ser", slow_first_point)
+        sized = []
+        out = {}
+        for workers in (1, 3):
+
+            def fixed(points, workers=workers):
+                sized.append(points)
+                return workers
+
+            monkeypatch.setattr(cli, "_sim_workers", fixed)
+            out[workers] = self.sweep_csv(tmp_path, f"{workers}.csv")
+        assert sized == [5, 5]
+        assert out[1] == out[3]
+
+    def test_workers_bounded_by_points_and_cpus(self):
+        assert cli._sim_workers(1) == 1
+        assert 1 <= cli._sim_workers(64) <= 64
+
+    def test_point_failure_exits_one_line(self, tmp_path, capsys, monkeypatch):
+        simulate = cli.mcsim.simulate_ser
+        failing = cli._point_seed(5, 2)
+
+        def fake(model, budget, m, trials, seed):
+            if seed == failing:
+                raise ValueError("point 2 failed")
+            return simulate(model, budget, m, trials, seed)
+
+        monkeypatch.setattr(cli.mcsim, "simulate_ser", fake)
+        out = tmp_path / "out.csv"
+        argv = ["--grid", "0:3:12", "--trials", "2000", "--seed", "5", "--methods", "approx,sim", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: point 2 failed\n"
+        assert not out.exists()
+
+    def test_no_worker_thread_left_running(self):
+        before = threading.active_count()
+        run_experiment(tiny_cfg(gamma_b_grid_db=[0.0, 4.0, 8.0, 12.0]))
+        assert threading.active_count() == before
+
+    def test_no_pool_without_sim(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was created for a sweep without sim")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+        rows, _ = run_experiment(tiny_cfg(methods=("exact", "approx")))
+        assert all(r.ser_sim is None for r in rows)
 
 
 class TestMain:

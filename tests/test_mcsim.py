@@ -208,6 +208,26 @@ class TestRankCheck:
             assert bad.any() and not bad.all()
 
 
+class TestStreams:
+    """Faster forms of the simulator's draws keep the old values bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(7,), (16_384, 3), (4, 5, 6)])
+    def test_complex_normal_is_the_divided_sum(self, shape):
+        for k in range(20):
+            z = standard_complex_normal(substream(77, 4, k), shape)
+            g = substream(77, 4, k)
+            re = g.standard_normal(shape)
+            im = g.standard_normal(shape)
+            assert z.shape == shape and z.dtype == complex
+            assert np.array_equal(z.view(np.uint64), ((re + 1j * im) / np.sqrt(2.0)).view(np.uint64))
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_constellation_lookup_is_the_per_symbol_exp(self, m):
+        sym_idx = substream(78, m).integers(0, m, size=(5_000, 4))
+        looked_up = np.exp(2j * np.pi * np.arange(m) / m)[sym_idx]
+        assert np.array_equal(looked_up.view(np.uint64), np.exp(2j * np.pi * sym_idx / m).view(np.uint64))
+
+
 class TestChunkDriver:
     def test_chunk_keys_and_sizes(self):
         assert list(chunks(7, (2,), 25, 10)) == [((7, 2, 0), 0, 10), ((7, 2, 1), 10, 10), ((7, 2, 2), 20, 5)]
