@@ -149,6 +149,13 @@ class TestRankVIdempotent:
             )
             assert abs(a - b) < 1e-8 * abs(b)
 
+    @pytest.mark.parametrize(
+        "sig, n_r", [([1.0, -0.5], 4), ([2.5, 0.7, -1.2], 5), ([300.0, 0.4], 6)], ids=["v2", "v3", "v2_log_domain"]
+    )
+    def test_full_rank_l_is_etr(self, sig, n_r):
+        # L = I: 0F0(S, I) = etr(S); the table has no right-hand block
+        assert f00_rank_v_idempotent(sig, n_r, n_r) == math.exp(sum(sig))
+
     def test_small_eigenvalue_refused(self):
         with pytest.raises(ValueError, match="series fallback"):
             f00_rank_v_idempotent([1.0, 1e-3], 3, 4)
