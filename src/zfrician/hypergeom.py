@@ -245,45 +245,68 @@ def _idempotent_constant_rows(v: int, rank_l: int, n_r: int) -> np.ndarray:
 def _idempotent_const(v: int, rank_l: int, n_r: int) -> float:
     """F(n_r) / (F(n_r-v) F(n_r-rank_l) F(rank_l)), F = factorial_product; F(n_r) / F(n_r-v) in integers."""
     num = math.prod(map(math.factorial, range(n_r - v, n_r)))
-    return num / (factorial_product(n_r - rank_l) * factorial_product(rank_l))
+    try:
+        const = num / (factorial_product(n_r - rank_l) * factorial_product(rank_l))
+    except (RuntimeError, OverflowError):
+        const = 0.0
+    if not 0.0 < const < math.inf:
+        raise ValueError(
+            f"determinantal 0F0 out of double range at n_r = {n_r}, n = {rank_l}: its factorial normalization overflows"
+        )
+    return const
 
 
-def _idempotent_f00(spectra: Sequence[Sequence[float]], rank_l: int, n_r: int) -> list:
+def _idempotent_f00(sig: np.ndarray, rank_l: int, n_r: int) -> np.ndarray:
     """0F0(S, L) for each low-rank S against the same rank_l idempotent L.
 
-    Each spectrum holds v < n_r strictly decreasing nonzero floats. Row
-    i <= v of its table is exp(sigma_i) times powers of sigma_i, the rest
-    are constant; the stacked tables take one slogdet call, and each
-    value is det * const / (prod_i sigma_i^(n_r-v) prod_{i<j} (sigma_i - sigma_j)).
+    ``sig`` is a (k, v) array: k spectra of v < n_r strictly decreasing
+    nonzero floats. Row i <= v of a table is exp(sigma_i) times powers of
+    sigma_i, the rest are constant; the stacked tables take one slogdet
+    call, and each value is
+    det * const / (prod_i sigma_i^(n_r-v) prod_{i<j} (sigma_i - sigma_j)).
     Rows above LOG_DOMAIN_SIGMA keep exp(sigma_i) out of the table and are
     added back to log|det|, which stays finite where det underflows.
-    Entries and denominators use scalar float arithmetic, so a spectrum
-    rounds alike alone or in a stack.
+    exp and the powers are scalar libm calls (numpy's vector exp and power
+    round differently on long arrays); the rest is elementwise numpy in the
+    scalar order of operations, so a spectrum rounds alike alone or in a
+    stack.
     """
-    mats = np.empty((len(spectra), n_r, n_r))
-    for mat, sig in zip(mats, spectra):
-        v = len(sig)
-        mat[v:] = _idempotent_constant_rows(v, rank_l, n_r)
-        for i, s in enumerate(sig):
-            shift = s if s > LOG_DOMAIN_SIGMA else 0.0
-            e, e_bare = math.exp(s - shift), math.exp(-shift)
-            mat[i] = [e * s ** (rank_l - j) for j in range(1, rank_l + 1)] + [
-                e_bare * s ** (n_r - j) for j in range(rank_l + 1, n_r + 1)
-            ]
-    out = []
+    k, v = sig.shape
+    const = _idempotent_const(v, rank_l, n_r)
+    flat = sig.ravel().tolist()
+    shifts = [s if s > LOG_DOMAIN_SIGMA else 0.0 for s in flat]
+    e = np.array([math.exp(s - t) for s, t in zip(flat, shifts)]).reshape(k, v, 1)
+    e_bare = np.array([math.exp(-t) for t in shifts]).reshape(k, v, 1)
+    n_pow = max(rank_l, n_r - rank_l)
+    # powers 0..n_pow-1 of each entry; math.pow is the libm pow that float ** int calls
+    pw = np.array([list(map(math.pow, flat, itertools.repeat(float(p)))) for p in range(n_pow)])
+    pw = pw.T.reshape(k, v, n_pow)
+    mats = np.empty((k, n_r, n_r))
+    mats[:, v:] = _idempotent_constant_rows(v, rank_l, n_r)
+    # pw[..., :r][..., ::-1] is powers r-1 down to 0, and empty for r = 0
+    mats[:, :v, :rank_l] = e * pw[..., :rank_l][..., ::-1]
+    mats[:, :v, rank_l:] = e_bare * pw[..., : n_r - rank_l][..., ::-1]
     signs, logdets = np.linalg.slogdet(mats)
-    for sign, logdet, sig in zip(signs.tolist(), logdets.tolist(), spectra):
-        v = len(sig)
-        const = _idempotent_const(v, rank_l, n_r)
-        gaps = [a - b for a, b in itertools.combinations(sig, 2)]
-        shift = sum(s for s in sig if s > LOG_DOMAIN_SIGMA)
-        if shift and sign:
-            log_den = sum((n_r - v) * math.log(abs(s)) for s in sig) + sum(math.log(g) for g in gaps)
-            sign *= math.prod(math.copysign(1.0, s) ** (n_r - v) for s in sig)
-            out.append(sign * math.exp(logdet + shift - log_den + math.log(const)))
-        else:
-            det = sign * math.exp(logdet)  # bit for bit numpy's det
-            out.append(det * const / math.prod([s ** (n_r - v) for s in sig] + gaps))
+    out = np.empty(k)
+    in_log = (sig > LOG_DOMAIN_SIGMA).any(axis=1) & (signs != 0)
+    direct = ~in_log
+    if direct.any():
+        sd = sig[direct]
+        det = signs[direct] * np.array([math.exp(x) for x in logdets[direct].tolist()])  # bit for bit numpy's det
+        den_pw = np.array([s ** (n_r - v) for s in sd.ravel().tolist()]).reshape(sd.shape)
+        den = den_pw[:, 0]
+        for i in range(1, v):
+            den = den * den_pw[:, i]
+        for a, b in itertools.combinations(range(v), 2):
+            den = den * (sd[:, a] - sd[:, b])
+        out[direct] = det * const / den
+    for i in np.flatnonzero(in_log).tolist():
+        row = flat[i * v : (i + 1) * v]
+        shift = sum(shifts[i * v : (i + 1) * v])
+        log_den = sum((n_r - v) * math.log(abs(s)) for s in row)
+        log_den += sum(math.log(a - b) for a, b in itertools.combinations(row, 2))
+        sign = signs[i] * math.prod(math.copysign(1.0, s) ** (n_r - v) for s in row)
+        out[i] = sign * math.exp(logdets[i] + shift - log_den + math.log(const))
     return out
 
 
@@ -297,7 +320,7 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
         raise ValueError("need 1 <= n_v <= n_r")
     if np.min(np.abs(sig)) < SMALL_SIGMA:
         raise ValueError("small-eigenvalue regime: use series fallback")
-    return _idempotent_f00([sig.tolist()], n_v, n_r)[0]
+    return float(_idempotent_f00(sig[None, :], n_v, n_r)[0])
 
 
 def f00_rank1_idempotent(sigma1, n: int, n_r: int):
@@ -312,18 +335,15 @@ def f00_rank1_idempotent(sigma1, n: int, n_r: int):
     if not 1 <= n <= n_r:
         raise ValueError("need 1 <= n <= n_r")
     sig = np.asarray(sigma1, dtype=float)
-    vals = sig.ravel().tolist()
-    out = np.empty(len(vals))
-    on_table = []
-    for k, s in enumerate(vals):
-        if abs(s) < SMALL_SIGMA:
-            out[k] = f11_series(n, n_r, s)
-        elif n == n_r:
-            out[k] = math.exp(s)  # L is the identity: the Haar average is etr(S) itself
-        else:
-            on_table.append(k)
-    if on_table:
-        out[on_table] = _idempotent_f00([(vals[k],) for k in on_table], n, n_r)
+    flat = sig.ravel()
+    out = np.empty(flat.size)
+    series = np.abs(flat) < SMALL_SIGMA
+    out[series] = [f11_series(n, n_r, s) for s in flat[series].tolist()]
+    rest = ~series
+    if n == n_r:  # L is the identity: the Haar average is etr(S) itself
+        out[rest] = [math.exp(s) for s in flat[rest].tolist()]
+    elif rest.any():
+        out[rest] = _idempotent_f00(flat[rest, None], n, n_r)
     return out.reshape(sig.shape) if sig.ndim else float(out[0])
 
 

@@ -173,15 +173,16 @@ def mgf_gamma1_det(p: Rank1MgfParams, s):
     Gamma factor times the rank-1 0F0 at sigma1(s), one
     ``f00_rank1_idempotent`` call for all arguments (it sums the series of
     the same 1F1 value below the small-sigma threshold, including s = 0).
-    Both factors are formed per argument in float arithmetic, so each
-    value is bit-identical to a scalar call.
+    Both factors are formed elementwise in the scalar order of operations,
+    so each value is bit-identical to a scalar call.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr * p.gamma_k1 >= 1.0):
+    sg = s_arr.ravel() * p.gamma_k1
+    if np.any(sg >= 1.0):
         raise ValueError("m.g.f. pole")
-    args = s_arr.ravel().tolist()
-    gam = np.array([(1.0 - x * p.gamma_k1) ** (-p.n) for x in args])
-    f00 = hypergeom.f00_rank1_idempotent(np.array([_sigma1(p, x) for x in args]), p.n, p.n_r)
+    base = 1.0 - sg
+    gam = np.array([b ** (-p.n) for b in base.tolist()])  # scalar pow: numpy's rounds differently
+    f00 = hypergeom.f00_rank1_idempotent(sg * p.alpha / base, p.n, p.n_r)  # _sigma1's order of operations
     out = (gam * f00).reshape(s_arr.shape)
     return out if s_arr.ndim else float(out)
 

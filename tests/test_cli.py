@@ -351,6 +351,11 @@ class TestBadInput:
         err = self.run(tmp_path, capsys, [], config)
         assert f"azimuth_spread_deg {spread!r} gives a numerically singular transmit correlation at n_t = 3" in err
 
+    def test_determinantal_beyond_double_range(self, tmp_path, capsys):
+        # n = 28 streams' worth of factorials overflow the 0F0 normalization
+        config = dict(scenario="custom", k_db=-20, azimuth_spread_deg=10, fading_case="rice_ray", n_r=30, n_t=3)
+        assert "out of double range at n_r = 30, n = 28" in self.run(tmp_path, capsys, [], config)
+
     def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda *args: float("nan"))
         err = self.run(tmp_path, capsys, ["--methods", "approx"])
