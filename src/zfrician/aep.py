@@ -44,37 +44,53 @@ def _quad_rule(m: int, nodes: int):
     return s, 0.5 * upper * w
 
 
-def aep_from_mgf(mgf: Callable[[np.ndarray], np.ndarray], m: int, nodes: int = QUADRATURE_NODES) -> float:
+def aep_from_mgf(mgf: Callable[[np.ndarray], np.ndarray], m: int, nodes: int = QUADRATURE_NODES):
     """Average error probability from an SNR m.g.f.
 
     ``mgf`` is called once, on the array of the rule's (negative) arguments,
-    and returns the m.g.f. values there. With the point-mass m.g.f.
-    exp(s * gamma) this is the instantaneous error probability at gamma.
+    and returns the m.g.f. values there: one row gives a float, k rows (one
+    per SNR law) an array of k AEPs. Each row is summed by its own dot
+    product, so a row's AEP does not depend on the rows beside it. With the
+    point-mass m.g.f. exp(s * gamma) this is the instantaneous error
+    probability at gamma.
     """
     if m < 2 or m & (m - 1):
         raise ValueError("constellation order must be a power of two >= 2")
     s, w = _quad_rule(m, nodes)
-    return float(np.dot(w, mgf(s)) / np.pi)
+    vals = np.asarray(mgf(s))
+    aeps = [float(np.dot(w, row) / np.pi) for row in np.atleast_2d(vals)]
+    return np.array(aeps) if vals.ndim > 1 else aeps[0]
 
 
-def aep_exact_condition(n: int, gamma_ki: float, m: int, nodes: int = QUADRATURE_NODES) -> float:
+def aep_exact_condition(n: int, gamma_ki, m: int, nodes: int = QUADRATURE_NODES):
     """AEP for a Gamma(n, gamma_ki) SNR, whose m.g.f. is (1 - s gamma_ki)^-n.
 
     Exact when the mean-correlation condition holds; given the virtual
-    scale it is the mean-matched approximation.
+    scale it is the mean-matched approximation. A 1-D array of scales
+    gives an array of AEPs, each equal to the scalar call's.
     """
-    if gamma_ki < 0:
+    if np.any(np.asarray(gamma_ki) < 0):
         raise ValueError("gamma_ki must be nonnegative")
-    return aep_from_mgf(lambda s: (1.0 - s * gamma_ki) ** (-n), m, nodes)
+    return aep_from_mgf(lambda s: (1.0 - np.multiply.outer(gamma_ki, s)) ** (-n), m, nodes)
 
 
-def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES) -> float:
+def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES):
     """Exact stream-1 AEP for a Rician stream over zero-mean interference.
 
     Integrates the determinantal m.g.f., evaluated on all quadrature nodes
-    in one call; nodes where the effective argument is below the
-    small-sigma threshold use the series form of the identical value.
+    (and all entries of an array ``p.gamma_k1``) in one call; nodes where
+    the effective argument is below the small-sigma threshold use the
+    series form of the identical value. An AEP outside [0, 1], which the
+    determinant's cancellation can produce, raises a ValueError.
     """
     if p.alpha <= 0:
         raise ValueError("alpha must be positive (genuinely Rician stream)")
-    return aep_from_mgf(lambda s: mgf_gamma1_det(p, s), m, nodes)
+    aeps = aep_from_mgf(lambda s: mgf_gamma1_det(p, s), m, nodes)
+    vals = np.atleast_1d(aeps)
+    bad = ~((vals >= 0.0) & (vals <= 1.0))  # NaN fails both
+    if bad.any():
+        raise ValueError(
+            f"determinantal AEP = {float(vals[bad][0])!r} at n_r = {p.n_r}, n = {p.n}, "
+            f"alpha = {p.alpha:.6g} is not a probability in [0, 1]"
+        )
+    return aeps

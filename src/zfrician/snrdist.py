@@ -39,11 +39,11 @@ class GammaSnrDist:
     """Gamma SNR law: shape is the diversity order, scale the average per branch."""
 
     shape: int
-    scale: float
+    scale: float | np.ndarray  # an array holds one scale per average SNR
     kind: str  # "exact" | "virtual"
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not np.all(np.asarray(self.scale) > 0):
             raise ValueError("scale must be positive")
         if self.kind not in ("exact", "virtual"):
             raise ValueError("kind must be 'exact' or 'virtual'")
@@ -59,16 +59,17 @@ class Rank1MgfParams:
 
     ``alpha`` is the conditional-mean power seen through the inverse
     conditional variance; it vanishes exactly when the mean offset does.
+    ``gamma_k1`` may be a 1-D array, one entry per average SNR.
     """
 
-    gamma_k1: float
+    gamma_k1: float | np.ndarray
     alpha: float
     n: int
     n_r: int
     n_t: int
 
     def __post_init__(self):
-        if self.gamma_k1 <= 0:
+        if not np.all(np.asarray(self.gamma_k1) > 0):
             raise ValueError("gamma_k1 must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
@@ -84,7 +85,15 @@ def _inv_diag_entry(mat: np.ndarray, i: int) -> float:
     return float(inv[i, i].real)
 
 
-def exact_gamma_snr(model: ChannelModel, stream: int, gamma_s: float, v: int | None = None) -> GammaSnrDist:
+def _per_snr(gamma_s):
+    """A scalar stays a float; a 1-D array of average SNRs stays an array."""
+    g = np.asarray(gamma_s, dtype=float)
+    if g.ndim > 1:
+        raise ValueError("gamma_s must be a scalar or a 1-D array")
+    return g if g.ndim else float(g)
+
+
+def exact_gamma_snr(model: ChannelModel, stream: int, gamma_s, v: int | None = None) -> GammaSnrDist:
     """Exact Gamma SNR law for one stream (streams are 1-based).
 
     Valid when the mean-correlation condition holds for a partition whose
@@ -96,7 +105,9 @@ def exact_gamma_snr(model: ChannelModel, stream: int, gamma_s: float, v: int | N
     stream.
 
     The scale is computed as gamma_s / [r_t^-1]_ii / (K+1), which keeps the
-    identity scale(K) * (K+1) = scale(0) at machine precision.
+    identity scale(K) * (K+1) = scale(0) at machine precision. ``gamma_s``
+    may be a 1-D array: the inverse is taken once and each scale is formed
+    elementwise in that order, so it equals the scalar call's bit for bit.
     """
     n_t = model.n_t
     if not 1 <= stream <= n_t:
@@ -108,16 +119,19 @@ def exact_gamma_snr(model: ChannelModel, stream: int, gamma_s: float, v: int | N
         if stream > v:
             raise ValueError("no exact Gamma law beyond the intended block under Rician fading")
     shape = model.n_r - n_t + 1
-    gamma_0 = gamma_s / _inv_diag_entry(model.r_t, stream - 1)
+    gamma_0 = _per_snr(gamma_s) / _inv_diag_entry(model.r_t, stream - 1)
     return GammaSnrDist(shape=shape, scale=gamma_0 / (model.k_factor + 1.0), kind="exact")
 
 
-def virtual_gamma_snr(model: ChannelModel, stream: int, gamma_s: float) -> GammaSnrDist:
-    """Gamma SNR law of the mean-matched virtual model (any stream, 1-based)."""
+def virtual_gamma_snr(model: ChannelModel, stream: int, gamma_s) -> GammaSnrDist:
+    """Gamma SNR law of the mean-matched virtual model (any stream, 1-based).
+
+    ``gamma_s`` may be a 1-D array, as for ``exact_gamma_snr``.
+    """
     if not 1 <= stream <= model.n_t:
         raise ValueError("stream out of range")
     shape = model.n_r - model.n_t + 1
-    scale = gamma_s / _inv_diag_entry(schur.virtual_scale(model), stream - 1)
+    scale = _per_snr(gamma_s) / _inv_diag_entry(schur.virtual_scale(model), stream - 1)
     return GammaSnrDist(shape=shape, scale=scale, kind="virtual")
 
 
@@ -133,12 +147,13 @@ def _require_zero_mean_interferers(blocks: schur.PartitionBlocks) -> None:
         raise ValueError("requires a zero-mean interfering block")
 
 
-def rank1_params(model: ChannelModel, gamma_s: float) -> Rank1MgfParams:
+def rank1_params(model: ChannelModel, gamma_s) -> Rank1MgfParams:
     """Stream-1 m.g.f. parameters for the v = 1 partition.
 
     The m.g.f. is derived for zero-mean interferers. A Rician interfering
     block is accepted only where the mean-correlation condition holds: there
-    alpha is 0 and the law is the pure Gamma one.
+    alpha is 0 and the law is the pure Gamma one. Only ``gamma_k1 =
+    gamma_s * sc`` depends on ``gamma_s``, which may be a 1-D array.
     """
     blocks = schur.conditional_params(model, 1)
     mu = blocks.m_matrix[:, 0]
@@ -147,7 +162,7 @@ def rank1_params(model: ChannelModel, gamma_s: float) -> Rank1MgfParams:
     sc = float(blocks.sc_corr[0, 0].real)
     inv_sc = 1.0 / sc
     return Rank1MgfParams(
-        gamma_k1=gamma_s * sc,
+        gamma_k1=_per_snr(gamma_s) * sc,
         alpha=inv_sc * float(np.vdot(mu, mu).real),
         n=model.n_r - model.n_t + 1,
         n_r=model.n_r,
@@ -173,18 +188,19 @@ def mgf_gamma1_det(p: Rank1MgfParams, s):
     Gamma factor times the rank-1 0F0 at sigma1(s), one
     ``f00_rank1_idempotent`` call for all arguments (it sums the series of
     the same 1F1 value below the small-sigma threshold, including s = 0).
-    Both factors are formed elementwise in the scalar order of operations,
-    so each value is bit-identical to a scalar call.
+    With an array ``p.gamma_k1`` of k entries the result has one row per
+    entry, shape (k, *s.shape). Both factors are formed elementwise in the
+    scalar order of operations, so each value is bit-identical to a scalar
+    call.
     """
-    s_arr = np.asarray(s, dtype=float)
-    sg = s_arr.ravel() * p.gamma_k1
+    sg = np.multiply.outer(p.gamma_k1, np.asarray(s, dtype=float))
     if np.any(sg >= 1.0):
         raise ValueError("m.g.f. pole")
     base = 1.0 - sg
-    gam = np.array([b ** (-p.n) for b in base.tolist()])  # scalar pow: numpy's rounds differently
+    gam = np.array([b ** (-p.n) for b in base.ravel().tolist()])  # scalar pow: numpy's rounds differently
     f00 = hypergeom.f00_rank1_idempotent(sg * p.alpha / base, p.n, p.n_r)  # _sigma1's order of operations
-    out = (gam * f00).reshape(s_arr.shape)
-    return out if s_arr.ndim else float(out)
+    out = gam.reshape(sg.shape) * f00
+    return out if sg.ndim else float(out)
 
 
 def _mgf_domain_factor(theta: np.ndarray, sc_corr: np.ndarray, n_v: int):

@@ -92,6 +92,16 @@ class TestRiceRayDet:
             vals.append(v)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_not_a_probability_refused(self):
+        # sigma1 on the nodes lies in (-0.3, -0.1): above the series switch the
+        # n_r = 12 determinant cancels, and the quadrature sum comes out -58.9
+        bad = Rank1MgfParams(gamma_k1=4.0, alpha=0.3, n=7, n_r=12, n_t=6)
+        msg = r"determinantal AEP = -58\.85\d* at n_r = 12, n = 7, alpha = 0\.3 is not a probability in \[0, 1\]$"
+        with pytest.raises(ValueError, match=msg):
+            aep_rice_ray_det(bad, 8)
+        with pytest.raises(ValueError, match="determinantal AEP"):  # one bad entry refuses the array
+            aep_rice_ray_det(Rank1MgfParams(np.array([4.0, 4.0]), 0.6, 7, 12, 6), 8)
+
     def test_node_doubling_stable(self):
         p = self.params(4.0)
         assert abs(aep_rice_ray_det(p, 4, nodes=96) - aep_rice_ray_det(p, 4, nodes=192)) <= 1e-10

@@ -356,7 +356,14 @@ class TestBadInput:
         config = dict(scenario="custom", k_db=-20, azimuth_spread_deg=10, fading_case="rice_ray", n_r=30, n_t=3)
         assert "out of double range at n_r = 30, n = 28" in self.run(tmp_path, capsys, [], config)
 
+    def test_determinantal_not_a_probability(self, tmp_path, capsys):
+        # the n_r = 14 determinant cancels at small alpha; the evaluator refuses
+        # before the simulations run, so emit_csv never sees the value
+        config = dict(scenario="custom", k_db=-25, azimuth_spread_deg=10, fading_case="rice_ray", n_r=14, n_t=3)
+        err = self.run(tmp_path, capsys, [], config)
+        assert err.startswith("error: determinantal AEP = -88.9") and "at n_r = 14, n = 12, alpha = " in err
+
     def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda *args: float("nan"))
+        monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda n, gamma_ki, m: np.full(np.shape(gamma_ki), np.nan))
         err = self.run(tmp_path, capsys, ["--methods", "approx"])
         assert "aep_approx = nan at 0 dB is not a probability" in err
