@@ -14,7 +14,10 @@ correlation) are loadable by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +37,8 @@ __all__ = [
 # Fixed node count for the PAS quadrature; trace renormalization absorbs
 # the residual truncation error.
 _PAS_NODES = 2048
+# Distinct (spec, n_t) correlations kept; each holds n_t^2 complex values.
+_CORR_CACHE_SIZE = 256
 
 
 def db_to_linear(x_db: float) -> float:
@@ -83,6 +88,10 @@ class FadingSpec:
     antenna_spacing_halfwavelengths: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.k_factor < 0:
             raise ValueError("k_factor must be nonnegative")
         if self.azimuth_spread_deg <= 0:
@@ -170,9 +179,24 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
     to +-180 deg, on a fixed 2048-node trapezoidal grid. The result is
     trace-renormalized to n_t. A spread so narrow that lambda_min <=
     n_t eps lambda_max (numerically singular) raises a ValueError.
+    Each (spec, n_t) is integrated once; every call returns a fresh copy.
+    """
+    return _correlation(spec, n_t).copy()
+
+
+@lru_cache(maxsize=_CORR_CACHE_SIZE)
+def _correlation(spec: FadingSpec, n_t: int) -> np.ndarray:
+    """The cached, read-only body of ``build_correlation_matrix``.
+
+    All lags are integrated in one pass: one complex exp over the
+    (n_t, nodes) phase array and one trapezoid along the nodes. Every
+    element takes the same factors in the same order as a lag-by-lag
+    integral would, so the bytes equal that integral's.
     """
     if n_t == 1:
-        return np.ones((1, 1), dtype=complex)
+        r = np.ones((1, 1), dtype=complex)
+        r.flags.writeable = False
+        return r
     sigma = np.deg2rad(spec.azimuth_spread_deg)
     theta_c = np.deg2rad(spec.center_azimuth_deg)
     b = sigma / np.sqrt(2.0)  # Laplacian scale for standard deviation sigma
@@ -183,13 +207,14 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
         raise ValueError(f"azimuth_spread_deg {spec.azimuth_spread_deg!r} is too narrow for the PAS grid")
     pas /= area
     d_n = spec.antenna_spacing_halfwavelengths
-    r = np.empty((n_t, n_t), dtype=complex)
-    for sep in range(n_t):
-        kernel = np.exp(1j * 2.0 * np.pi * d_n * sep * np.sin(theta))
-        rho = np.trapezoid(kernel * pas, theta)
-        for p in range(n_t - sep):
-            r[p + sep, p] = rho
-            r[p, p + sep] = np.conj(rho)
+    lags = np.arange(n_t)
+    kernel = 1j * 2.0 * np.pi * d_n * lags[:, None] * np.sin(theta)
+    np.exp(kernel, out=kernel)
+    kernel *= pas
+    rho = np.trapezoid(kernel, theta, axis=-1)
+    # r[p, q] = rho[p - q] below the diagonal and conj(rho[q - p]) on and above it
+    sep = lags[:, None] - lags[None, :]
+    r = np.where(sep > 0, rho[np.abs(sep)], rho.conj()[np.abs(sep)])
     r = 0.5 * (r + r.conj().T)
     eig = np.linalg.eigvalsh(r)
     if eig[0] <= n_t * np.finfo(float).eps * eig[-1]:
@@ -198,6 +223,7 @@ def build_correlation_matrix(spec: FadingSpec, n_t: int) -> np.ndarray:
             f" correlation at n_t = {n_t} (lambda_min/lambda_max = {eig[0] / eig[-1]:.2g})"
         )
     r *= n_t / np.trace(r).real
+    r.flags.writeable = False
     return r
 
 

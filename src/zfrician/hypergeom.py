@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -65,6 +66,8 @@ _RESCALE_BITS = 900
 _RESCALE = 2.0**_RESCALE_BITS
 # exp() of anything above this is a normal double (not subnormal).
 _EXP_NORMAL_MIN = -700.0
+# math.exp() of anything above this overflows; of this itself it is finite.
+_EXP_MAX = math.log(sys.float_info.max)
 # ln 2 split so that j * _LN2_HI is exact for |j| < 2**20 (fdlibm constants).
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -153,6 +156,10 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
         raise RuntimeError("1F1 overflows double precision") from None
 
 
+def _beyond_double(sigma: Sequence[float], n_r: int) -> ValueError:
+    return ValueError(f"0F0 evaluation leaves double range at sigma = {list(sigma)}, n_r = {n_r}")
+
+
 def _check_distinct(vals: Sequence[float], what: str) -> np.ndarray:
     """Refuse a spectrum that is not strictly decreasing or has near-coincident values."""
     arr = np.asarray(vals, dtype=float)
@@ -204,7 +211,10 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
     lmb = np.array(lam.expanded())[None, :]
     a = _derivative_orders(sigma.multiplicities)
     b = _derivative_orders(lam.multiplicities)
-    mat = np.exp(sig * lmb)
+    with np.errstate(over="ignore"):
+        mat = np.exp(sig * lmb)
+    if not np.isfinite(mat).all():
+        raise _beyond_double(sigma.values, n_r)
     if any(a) or any(b):
         # d^a/dsig^a d^b/dlam^b exp(sig lam) by the product rule: term k is
         # C(b, k) P(a, k) lam^(a-k) sig^(b-k), present for k <= min(a, b)
@@ -214,17 +224,21 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
             coef = np.outer([math.perm(i, k) for i in a], [math.comb(j, k) for j in b])
             poly += coef * lmb ** np.maximum(a_col - k, 0) * sig ** np.maximum(b_row - k, 0)
         mat *= poly
-    num = np.linalg.det(mat) * factorial_product(n_r)
-    for m in sigma.multiplicities:
-        num /= factorial_product(m)
-    for m in lam.multiplicities:
-        num /= factorial_product(m)
-    den = 1.0
-    for vals, mults in ((sigma.values, sigma.multiplicities), (lam.values, lam.multiplicities)):
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                den *= (vals[i] - vals[j]) ** (mults[i] * mults[j])
-    return float(num / den)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = np.linalg.det(mat) * factorial_product(n_r)
+        for m in sigma.multiplicities:
+            num /= factorial_product(m)
+        for m in lam.multiplicities:
+            num /= factorial_product(m)
+        den = 1.0
+        for vals, mults in ((sigma.values, sigma.multiplicities), (lam.values, lam.multiplicities)):
+            for i in range(len(vals)):
+                for j in range(i + 1, len(vals)):
+                    den *= (vals[i] - vals[j]) ** (mults[i] * mults[j])
+        out = float(num / den)
+    if not math.isfinite(out):
+        raise _beyond_double(sigma.values, n_r)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -265,21 +279,31 @@ def _idempotent_f00(sig: np.ndarray, rank_l: int, n_r: int) -> np.ndarray:
     call, and each value is
     det * const / (prod_i sigma_i^(n_r-v) prod_{i<j} (sigma_i - sigma_j)).
     Rows above LOG_DOMAIN_SIGMA keep exp(sigma_i) out of the table and are
-    added back to log|det|, which stays finite where det underflows.
+    added back to log|det|, which stays finite where det underflows. A
+    spectrum whose det or quotient would overflow takes the same log-domain
+    route, and one whose value is beyond double range raises a ValueError.
     exp and the powers are scalar libm calls (numpy's vector exp and power
     round differently on long arrays); the rest is elementwise numpy in the
     scalar order of operations, so a spectrum rounds alike alone or in a
-    stack.
+    stack. exp(0.0) and pow(x, 0.0) are exactly 1.0, so those entries are
+    not computed.
     """
     k, v = sig.shape
     const = _idempotent_const(v, rank_l, n_r)
     flat = sig.ravel().tolist()
-    shifts = [s if s > LOG_DOMAIN_SIGMA else 0.0 for s in flat]
-    e = np.array([math.exp(s - t) for s, t in zip(flat, shifts)]).reshape(k, v, 1)
-    e_bare = np.array([math.exp(-t) for t in shifts]).reshape(k, v, 1)
+    shifted = sig.ravel() > LOG_DOMAIN_SIGMA
+    # a row holds exp(sigma) beside 1, or in log domain 1 beside exp(-sigma)
+    e = np.ones(k * v)
+    e[~shifted] = [math.exp(s) for s in sig.ravel()[~shifted].tolist()]
+    e_bare = np.ones(k * v)
+    e_bare[shifted] = [math.exp(-s) for s in sig.ravel()[shifted].tolist()]
+    e, e_bare = e.reshape(k, v, 1), e_bare.reshape(k, v, 1)
     n_pow = max(rank_l, n_r - rank_l)
     # powers 0..n_pow-1 of each entry; math.pow is the libm pow that float ** int calls
-    pw = np.array([list(map(math.pow, flat, itertools.repeat(float(p)))) for p in range(n_pow)])
+    pw = np.empty((n_pow, k * v))
+    pw[0] = 1.0
+    for p in range(1, n_pow):
+        pw[p] = np.fromiter(map(math.pow, flat, itertools.repeat(float(p))), float, k * v)
     pw = pw.T.reshape(k, v, n_pow)
     mats = np.empty((k, n_r, n_r))
     mats[:, v:] = _idempotent_constant_rows(v, rank_l, n_r)
@@ -288,7 +312,7 @@ def _idempotent_f00(sig: np.ndarray, rank_l: int, n_r: int) -> np.ndarray:
     mats[:, :v, rank_l:] = e_bare * pw[..., : n_r - rank_l][..., ::-1]
     signs, logdets = np.linalg.slogdet(mats)
     out = np.empty(k)
-    in_log = (sig > LOG_DOMAIN_SIGMA).any(axis=1) & (signs != 0)
+    in_log = ((sig > LOG_DOMAIN_SIGMA).any(axis=1) | (logdets > _EXP_MAX)) & (signs != 0)
     direct = ~in_log
     if direct.any():
         sd = sig[direct]
@@ -299,14 +323,20 @@ def _idempotent_f00(sig: np.ndarray, rank_l: int, n_r: int) -> np.ndarray:
             den = den * den_pw[:, i]
         for a, b in itertools.combinations(range(v), 2):
             den = den * (sd[:, a] - sd[:, b])
-        out[direct] = det * const / den
+        with np.errstate(over="ignore", divide="ignore"):
+            vals = det * const / den
+        out[direct] = vals
+        in_log[direct] = ~np.isfinite(vals)  # the quotient overflowed: redo it in log domain
     for i in np.flatnonzero(in_log).tolist():
         row = flat[i * v : (i + 1) * v]
-        shift = sum(shifts[i * v : (i + 1) * v])
+        shift = sum(s for s in row if s > LOG_DOMAIN_SIGMA)
         log_den = sum((n_r - v) * math.log(abs(s)) for s in row)
         log_den += sum(math.log(a - b) for a, b in itertools.combinations(row, 2))
         sign = signs[i] * math.prod(math.copysign(1.0, s) ** (n_r - v) for s in row)
-        out[i] = sign * math.exp(logdets[i] + shift - log_den + math.log(const))
+        try:
+            out[i] = sign * math.exp(logdets[i] + shift - log_den + math.log(const))
+        except OverflowError:
+            raise _beyond_double(row, n_r) from None
     return out
 
 
@@ -341,6 +371,9 @@ def f00_rank1_idempotent(sigma1, n: int, n_r: int):
     out[series] = [f11_series(n, n_r, s) for s in flat[series].tolist()]
     rest = ~series
     if n == n_r:  # L is the identity: the Haar average is etr(S) itself
+        big = flat[rest & (flat > _EXP_MAX)]
+        if big.size:
+            raise _beyond_double(big[:1].tolist(), n_r)
         out[rest] = [math.exp(s) for s in flat[rest].tolist()]
     elif rest.any():
         out[rest] = _idempotent_f00(flat[rest, None], n, n_r)

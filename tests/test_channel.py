@@ -1,9 +1,15 @@
 """Channel construction, normalization, and sampling tests."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from zfrician import channel
+from zfrician.cli import ExperimentConfig, build_model
 from zfrician.channel import (
     ChannelModel,
     FadingSpec,
@@ -90,6 +96,54 @@ class TestCorrelationMatrix:
             for q in range(3):
                 oracle = pas_correlation_oracle(p - q, 51.0, 5.0, 1.0)
                 assert abs(r[p, q] - oracle) < 2e-4
+
+
+class TestCorrelationCache:
+    """Each (spec, n_t) is integrated once; callers get copies and never see the cache."""
+
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
+        channel._correlation.cache_clear()
+        spec = spec_with(as_deg=17.0)
+        first = build_correlation_matrix(spec, 4)
+        want = first.tobytes()
+        first[:] = 0.0
+        again = build_correlation_matrix(spec, 4)
+        assert again.tobytes() == want
+        again[0, 1] = 7.0
+        assert build_correlation_matrix(spec, 4).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "as_deg, match",
+        [(1e-4, "is too narrow for the PAS grid"), (0.01, "gives a numerically singular transmit correlation at n_t = 3")],
+        ids=["too_narrow", "singular"],
+    )
+    def test_refusal_repeats(self, as_deg, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                build_correlation_matrix(spec_with(as_deg=as_deg), 3)
+
+    def test_uncorrelated_case_leaves_the_preset_intact(self):
+        channel._correlation.cache_clear()
+        cfg = ExperimentConfig(scenario="B1", fading_case="ray_rice_uncorr", n_r=4, n_t=3)
+        build_model(cfg)
+        model = build_model(dataclasses.replace(cfg, fading_case="rayleigh_only"))
+        assert model.r_t.tobytes() == channel._correlation.__wrapped__(preset("B1"), 3).tobytes()
+
+    def test_cache_is_bounded(self):
+        maxsize = channel._correlation.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+
+
+class TestFadingSpecFinite:
+    FIELDS = ("k_factor", "azimuth_spread_deg", "center_azimuth_deg", "antenna_spacing_halfwavelengths")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_finite_field_refused(self, field, bad):
+        kw = dict(k_factor=1.0, azimuth_spread_deg=3.0, center_azimuth_deg=5.0, antenna_spacing_halfwavelengths=1.0)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be a finite number, got {bad!r}')}$"):
+            FadingSpec(**kw)
 
 
 class TestNormalizeMean:

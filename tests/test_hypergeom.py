@@ -231,6 +231,34 @@ class TestLogDomainAssembly:
         assert abs(logged - direct) <= 1e-12 * direct
 
 
+class TestBeyondDoubleRange:
+    """A value past double range is a one-line ValueError naming sigma and n_r."""
+
+    @pytest.mark.parametrize(
+        "f00, match",
+        [
+            (lambda: f00_rank_v_idempotent([800.0, 700.0], 2, 5), "sigma = [800.0, 700.0], n_r = 5"),
+            (lambda: f00_rank1_idempotent(800.0, 2, 6), "sigma = [800.0], n_r = 6"),
+            (lambda: f00_rank1_idempotent([-3.0, 800.0, 50.0], 2, 6), "sigma = [800.0], n_r = 6"),
+            (lambda: f00_rank1_idempotent(800.0, 6, 6), "sigma = [800.0], n_r = 6"),
+            (lambda: f00_distinct([800.0, 1.0], [1.0, 0.5]), "sigma = [800.0, 1.0], n_r = 2"),
+        ],
+        ids=["rank_v", "rank1", "rank1_array", "rank1_identity", "distinct"],
+    )
+    def test_refused(self, f00, match):
+        with pytest.raises(ValueError, match="0F0 evaluation leaves double range at ") as err:
+            f00()
+        assert match in str(err.value) and "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("sig, n_r", [([150.0, 140.0, 130.0], 20), ([190.0, 180.0, 170.0], 16), ([199.0, 198.0], 27)])
+    def test_overflowing_table_goes_to_log_domain(self, sig, n_r):
+        # log|det| of these tables exceeds the double range, the value does not:
+        # with L the identity, 0F0 is etr(S)
+        val = f00_rank_v_idempotent(sig, n_r, n_r)
+        ref = math.exp(sum(sig))
+        assert abs(val - ref) <= 1e-12 * ref
+
+
 class TestHaarOracle:
     def test_zero_s(self):
         est, se = haar_oracle([0.0, 0.0, 0.0], [1.0, 0.5, 0.0], 2_000, seed=1)
