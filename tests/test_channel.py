@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from zfrician import channel
-from zfrician.cli import ExperimentConfig, build_model
 from zfrician.channel import (
     ChannelModel,
     FadingSpec,
@@ -21,6 +20,7 @@ from zfrician.channel import (
     normalize_mean,
     preset,
 )
+from zfrician.cli import ExperimentConfig, build_model
 
 from conftest import draw_channels, random_corr, random_mean
 
