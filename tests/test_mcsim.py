@@ -228,6 +228,55 @@ class TestStreams:
         assert np.array_equal(looked_up.view(np.uint64), np.exp(2j * np.pi * sym_idx / m).view(np.uint64))
 
 
+def angle_rule_errors(z, sym_idx, m, sqrt_gs):
+    """The phase-rounding decision the sector test replaced: errors, shape of ``sym_idx``."""
+    y = np.exp(2j * np.pi * np.arange(m) / m)[sym_idx] + z / sqrt_gs
+    det_idx = np.mod(np.rint(np.angle(y) * m / (2.0 * np.pi)), m).astype(np.int64)
+    return det_idx != sym_idx
+
+
+def sector_errors(z, sym_idx, m, sqrt_gs):
+    """``simulate_ser``'s decision: the sector test on u = z conj(x) / sqrt(gamma_s)."""
+    rotation = np.exp(-2j * np.pi * np.arange(m) / m) / sqrt_gs
+    return ~mcsim._in_sector(z * rotation[sym_idx], m)
+
+
+class TestSectorDecision:
+    """The sector test decides as rounding the phase did, off the wedge edges.
+
+    Points exactly on an edge are left out: rounding the phase breaks such a
+    tie by round-half-even, the sector test counts it as an error, and
+    continuous noise lands there with probability zero.
+    """
+
+    M_VALUES = [2, 4, 8, 16, 32, 64]
+    SQRT_GS = 3.0
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_agrees_with_angle_rule_on_random_points(self, m):
+        rng = substream(79, m)
+        n = 1_000_000
+        sym_idx = rng.integers(0, m, size=n)
+        # noise magnitudes from 1e-2 to 1e2 times the signal put points in every wedge
+        z = standard_complex_normal(rng, n) * self.SQRT_GS * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        ref = angle_rule_errors(z, sym_idx, m, self.SQRT_GS)
+        assert 0 < ref.sum() < n
+        assert np.array_equal(sector_errors(z, sym_idx, m, self.SQRT_GS), ref)
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_agrees_with_angle_rule_beside_every_edge(self, m):
+        sym, radius = np.meshgrid(np.arange(m), [0.05, 0.3, 1.0, 2.0, 7.0, 40.0], indexing="ij")
+        sym, radius = sym.ravel(), radius.ravel()
+        for edge in (-1.0, 1.0):
+            for step, inside in ((-1e-9, True), (1e-9, False)):
+                offset = edge * (np.pi / m + step)
+                y = radius * np.exp(1j * (2.0 * np.pi * sym / m + offset))
+                z = (y - np.exp(2j * np.pi * sym / m)) * self.SQRT_GS
+                ref = angle_rule_errors(z, sym, m, self.SQRT_GS)
+                assert np.all(ref != inside)
+                assert np.array_equal(sector_errors(z, sym, m, self.SQRT_GS), ref)
+
+
 class TestChunkDriver:
     def test_chunk_keys_and_sizes(self):
         assert list(chunks(7, (2,), 25, 10)) == [((7, 2, 0), 0, 10), ((7, 2, 1), 10, 10), ((7, 2, 2), 20, 5)]
