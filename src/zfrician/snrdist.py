@@ -12,6 +12,7 @@ in terms of 0F0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,4 +265,10 @@ def mgf_sc_rician_rayleigh(
         snapped = np.where(np.abs(eigs) > 1e-9 * scale, eigs, 0.0)
         lam = EigenSpectrum([1.0, 0.0], [dims.n_v, dims.n_r - dims.n_v])
         f00 = hypergeom.f00_general(cluster_spectrum(snapped), lam)
-    return det_pow * f00
+    value = float(det_pow * f00)
+    if not (math.isfinite(value) and value > 0.0):  # an m.g.f. is an expectation of exp(.) > 0
+        spectrum = ", ".join(f"{x:.3g}" for x in np.linalg.eigvalsh(0.5 * (theta + theta.conj().T)))
+        raise ValueError(
+            f"Schur-complement m.g.f. = {value!r} is not positive at theta spectrum [{spectrum}], n_r = {dims.n_r}"
+        )
+    return value

@@ -321,3 +321,38 @@ class TestMatrixScMgf:
             vals = np.exp(np.einsum("ij,bji->b", theta, samples).real)
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(mgf - vals.mean()) <= 3 * se
+
+
+class TestMatrixScMgfPositive:
+    """The v >= 2 complement m.g.f. raises rather than return a value <= 0."""
+
+    @staticmethod
+    def a1_rice_ray(n_r):
+        from zfrician import cli
+
+        model = cli.build_model(cli.ExperimentConfig(scenario="A1", fading_case="rice_ray", n_r=n_r, n_t=4, v=2))
+        return schur.conditional_params(model, 2), SystemDims(n_r, 4, 2)
+
+    @pytest.mark.parametrize(
+        "n_r,theta", [(8, -1e-4), (8, -1e-3), (10, -1e-4), (10, -1e-3), (12, -1e-2)]
+    )
+    def test_a1_small_theta_never_zero(self, n_r, theta):
+        # The general-multiplicity 0F0 returns exactly 0.0 at these points
+        # (ROADMAP item 8); the draws give values near 1.
+        blocks, dims = self.a1_rice_ray(n_r)
+        try:
+            value = mgf_sc_rician_rayleigh(theta * np.eye(2), blocks, dims)
+        except ValueError as exc:
+            assert str(exc).startswith("Schur-complement m.g.f. = 0.0 is not positive")
+            assert f"[{theta:.3g}, {theta:.3g}], n_r = {n_r}" in str(exc)
+            assert "\n" not in str(exc)
+        else:
+            assert 0.0 < value <= 1.0
+
+    @pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
+    def test_non_positive_or_non_finite_refused(self, bad, monkeypatch):
+        blocks, dims = self.a1_rice_ray(8)
+        monkeypatch.setattr(snrdist.hypergeom, "f00_general", lambda *args: bad)
+        monkeypatch.setattr(snrdist.hypergeom, "f00_rank_v_idempotent", lambda *args: bad)
+        with pytest.raises(ValueError, match=r"is not positive at theta spectrum \[-0\.5, -0\.2\], n_r = 8$"):
+            mgf_sc_rician_rayleigh(np.diag([-0.2, -0.5]).astype(complex), blocks, dims)
