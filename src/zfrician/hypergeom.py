@@ -46,8 +46,10 @@ __all__ = [
 ]
 
 # Below this magnitude the low-rank determinant form is a 0/0-style ratio
-# whose analytic cancellation costs eps/sigma^(n_r-1) in relative accuracy;
-# at 0.1 the determinant and series branches agree to ~1e-8 up to n_r = 6.
+# that cancels badly. eps/sigma^(n_r-1) does not bound the loss: over n_r
+# 4-16 and |sigma| 0.11-3, the rank-1 form's error against mpmath measured
+# a median 1e6 and a maximum 1.2e16 times that. At 0.1 the determinant and
+# series branches agree to ~1e-8 up to n_r = 6.
 SMALL_SIGMA = 0.1
 
 # Relative eigenvalue gap under which the distinct-spectrum form is refused.
@@ -123,6 +125,10 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
     overflow is rescaled by an exact power of two, and the exponent is
     recombined with exp(x) without rounding, so a reflection whose two
     factors leave double range (x = -800) still keeps full precision.
+
+    Rounding adds up over long sums, so the error can exceed ``rtol``:
+    against mpmath, 300 random (a, b, x) with x in [-3000, 700] gave a
+    worst relative error of 1.5e-13, at x = -1698 (about 2,000 terms).
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")

@@ -47,9 +47,10 @@ _SC_SPACE = 3
 # _CERTIFY is far above RANK_TOL^2; only the rest need an SVD.
 _CERTIFY = 1e-12
 
-# Most draws per Gram-Schmidt block. A chunk runs as equal blocks under this
-# cap (5,000 draws as one block, 16,384 as three of 5,462); measured from
-# 2x2 to 12x6, blocks of 4-6k draws beat both 2,048 and 8,192 on full chunks.
+# Most draws per Gram-Schmidt block. A chunk runs as the fewest equal blocks
+# under this cap: 5,000 draws as one block, 16,384 as three of 5,462. Timed
+# from 2x2 to 12x6, three such blocks beat 2,048-draw blocks by 24-31% on a
+# full chunk, and two of 8,192 by 2-6% at every shape but 2x2 (3% slower).
 _QR_BLOCK = 6_144
 
 # How the redraw error describes draws that keep failing the rank check.
