@@ -239,7 +239,8 @@ def mgf_sc_rician_rayleigh(
     0F0(S, L) with S built from the mean offset and L the idempotent
     projector spectrum. S generically has v distinct nonzero eigenvalues,
     handled by the low-rank determinant form; degenerate spectra route
-    through the general multiplicity form.
+    through the general multiplicity form. A result that is not finite
+    and positive raises a ValueError naming theta's spectrum and n_r.
     """
     theta = np.asarray(theta, dtype=complex)
     if blocks.v != dims.v:
