@@ -351,6 +351,10 @@ def _parse_grid(text: str) -> list:
         if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[1] == 0:
             raise ValueError(f"grid {text!r}: need finite 'start:step:stop' with a nonzero step")
         start, step, stop = parts
+        # count before np.arange allocates: 0:1e-9:1000 would take 7.3 TiB and end in a
+        # MemoryError traceback. The cap of 100,000 points is far above any real sweep.
+        if (stop + step / 2 - start) / step > 100_000:
+            raise ValueError(f"grid {text!r}: more than 100,000 points")
         return [float(x) for x in np.arange(start, stop + step / 2, step)]
     return [float(x) for x in text.split(",")]
 

@@ -193,14 +193,6 @@ def f00_distinct(sigma: Sequence[float], lam: Sequence[float]) -> float:
     return f00_general(EigenSpectrum(sig, ones), EigenSpectrum(lmb, ones))
 
 
-def _derivative_orders(mults: Sequence[int]) -> list:
-    """Within each multiplicity group the order runs m-1 down to 0."""
-    orders = []
-    for m in mults:
-        orders.extend(range(m - 1, -1, -1))
-    return orders
-
-
 def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
     """0F0(S, L) for arbitrary eigenvalue multiplicities.
 
@@ -215,8 +207,8 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
         raise ValueError("spectra must have the same ambient dimension")
     sig = np.array(sigma.expanded())[:, None]
     lmb = np.array(lam.expanded())[None, :]
-    a = _derivative_orders(sigma.multiplicities)
-    b = _derivative_orders(lam.multiplicities)
+    # derivative orders: within each multiplicity group they run m-1 down to 0
+    a, b = ([k for m in spec.multiplicities for k in range(m - 1, -1, -1)] for spec in (sigma, lam))
     with np.errstate(over="ignore"):
         mat = np.exp(sig * lmb)
     if not np.isfinite(mat).all():
@@ -227,7 +219,10 @@ def f00_general(sigma: EigenSpectrum, lam: EigenSpectrum) -> float:
         a_col, b_row = np.array(a)[:, None], np.array(b)[None, :]
         poly = np.zeros((n_r, n_r))
         for k in range(min(max(a), max(b)) + 1):
-            coef = np.outer([math.perm(i, k) for i in a], [math.comb(j, k) for j in b])
+            perms, combs = [math.perm(i, k) for i in a], [math.comb(j, k) for j in b]
+            if max(perms) * max(combs) > np.iinfo(np.int64).max:  # numpy would wrap or make an object array
+                raise ValueError(f"0F0 derivative coefficients leave int64 at n_r = {n_r}")
+            coef = np.outer(perms, combs)
             poly += coef * lmb ** np.maximum(a_col - k, 0) * sig ** np.maximum(b_row - k, 0)
         mat *= poly
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -417,18 +412,18 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
     return mean, math.sqrt(var / samples)
 
 
-def cluster_spectrum(eigenvalues: Sequence[float], rel_tol: float = COINCIDENCE_RTOL) -> EigenSpectrum:
+def cluster_spectrum(eigenvalues: Sequence[float]) -> EigenSpectrum:
     """Group numerically coincident eigenvalues into an EigenSpectrum.
 
-    Values whose gap is below rel_tol (relative to the spectrum scale) are
-    merged into one representative (their mean); values within the same
-    tolerance of zero are snapped to exactly zero.
+    Values whose gap is below COINCIDENCE_RTOL (relative to the spectrum
+    scale) are merged into one representative (their mean); values within
+    the same tolerance of zero are snapped to exactly zero.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     scale = max(1.0, float(np.abs(eigs).max()))
     groups: list[list[float]] = [[eigs[0]]]
     for x in eigs[1:]:
-        if groups[-1][-1] - x <= rel_tol * scale:
+        if groups[-1][-1] - x <= COINCIDENCE_RTOL * scale:
             groups[-1].append(x)
         else:
             groups.append([x])
@@ -436,7 +431,7 @@ def cluster_spectrum(eigenvalues: Sequence[float], rel_tol: float = COINCIDENCE_
     mults = []
     for g in groups:
         rep = float(np.mean(g))
-        if abs(rep) <= rel_tol * scale:
+        if abs(rep) <= COINCIDENCE_RTOL * scale:
             rep = 0.0
         values.append(rep)
         mults.append(len(g))

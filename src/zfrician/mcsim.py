@@ -128,11 +128,11 @@ def _inv_diag(r_inv: np.ndarray) -> np.ndarray:
 
 
 def _bad_draws(h: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
-    """Flag draws whose singular-value ratio is at most RANK_TOL; r_inv = R^-1 of H = QR.
+    """Flag draws whose singular-value ratio is at most RANK_TOL; r_inv = R^-1 of H P = QR.
 
     lambda_min / lambda_max of W = H^H H is at least 1 / (tr W ||R^-1||_F^2),
-    since lambda_max <= tr W and 1 / lambda_min = ||R^-1||_2^2. Draws this
-    bound certifies skip the SVD; the mask equals the SVD test on every draw.
+    since lambda_max <= tr W and 1 / lambda_min = ||R^-1||_2^2, whatever the
+    permutation P. Draws it certifies skip the SVD; the mask equals the SVD test.
     """
     hv = h.reshape(h.shape[0], -1).view(float)
     tr_w = np.einsum("bi,bi->b", hv, hv)
@@ -171,12 +171,13 @@ def _in_sector(u: np.ndarray, m: int) -> np.ndarray:
     return np.abs(u.imag) < math.tan(math.pi / m) * (u.real + 1.0)
 
 
-def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
+def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int, order=slice(None)):
     """Yield ``(rng, start, h, q, r_inv)`` per chunk: full-rank draws and their factors.
 
     Each draw is ``h_d + G A^H`` with A the upper factor of r_tk, formed as
-    one GEMM over the chunk; ``q`` and ``r_inv`` are its batch-last
-    Gram-Schmidt factor (see ``_gram_schmidt``). Chunk k draws from
+    one GEMM over the chunk; ``q`` and ``r_inv`` are the batch-last
+    Gram-Schmidt factor (see ``_gram_schmidt``) of its columns in ``order``;
+    the default order is a view, not a copy. Chunk k draws from
     ``substream(seed, space, k)``, which the caller keeps using;
     rank-deficient draws are redrawn from the chunk's retry substreams.
     """
@@ -190,18 +191,18 @@ def _channel_chunks(model: ChannelModel, seed: int, space: int, total: int):
         return model.h_d + (g @ a_h).reshape(n, n_r, n_t)
 
     def check(x):
-        return _bad_draws(x, _gram_schmidt(x)[1])
+        return _bad_draws(x, _gram_schmidt(x[:, :, order])[1])
 
     redraws = 0
     for key, start, n in chunks(seed, (space,), total, _CHUNK):
         rng = substream(*key)
         h = draw(rng, n)
-        q, r_inv = _gram_schmidt(h)
+        q, r_inv = _gram_schmidt(h[:, :, order])
         bad = _bad_draws(h, r_inv)
         if bad.any():
             redraws += redraw(h, bad, draw, check, key, _RANK_FAILURE)
             idx = np.flatnonzero(bad)
-            q[..., idx], r_inv[..., idx] = _gram_schmidt(h[idx])
+            q[..., idx], r_inv[..., idx] = _gram_schmidt(h[idx][:, :, order])
         yield rng, start, h, q, r_inv
     if redraws > 0.001 * total:
         warnings.warn(f"{redraws} rank-deficient channel redraws in {total} trials")
@@ -227,12 +228,9 @@ def simulate_ser(
         # received vector is sqrt(gamma_s) H x + n with unit noise power.
         u = _zf_output(q, r_inv, noise) * rotation[sym_idx]
         errors += n - np.count_nonzero(_in_sector(u, m), axis=0)
-    out = []
-    for i in range(n_t):
-        ser = errors[i] / trials
-        ci = 3.0 * math.sqrt(ser * (1.0 - ser) / trials)
-        out.append(SimResult(trials=trials, errors=int(errors[i]), ser=float(ser), ci_halfwidth_3sigma=ci))
-    return out
+    ser = errors / trials
+    ci = 3.0 * np.sqrt(ser * (1.0 - ser) / trials)
+    return [SimResult(trials, int(e), float(s), float(c)) for e, s, c in zip(errors, ser, ci)]
 
 
 def sample_snr(
@@ -252,16 +250,19 @@ def sample_sc(model: ChannelModel, v: int, count: int, seed: int) -> np.ndarray:
 
     With ``[H2 H1] = QR`` (interfering columns first), the complement of the
     interfering block in ``W = H^H H`` is ``R11^H R11``, R11 the trailing
-    v x v block of R; ``schur.gramian_and_sc`` is the per-draw oracle.
+    v x v block of R. The chunk driver factors in that column order, so R11^-1
+    is the trailing block of its R^-1, inverted here by back substitution.
     """
     if count < 1_000:
         raise ValueError("need at least 1000 samples")
     if not 1 <= v < model.n_t:
         raise ValueError("need 1 <= v < n_t")
     out = np.empty((count, v, v), dtype=complex)
-    for _, start, h, _, _ in _channel_chunks(model, seed, _SC_SPACE, count):
-        r11 = np.linalg.qr(np.concatenate([h[:, :, v:], h[:, :, :v]], axis=2), mode="r")[:, -v:, -v:]
-        sc = r11.conj().transpose(0, 2, 1) @ r11
+    for _, start, h, _, r_inv in _channel_chunks(model, seed, _SC_SPACE, count, np.r_[v : model.n_t, :v]):
+        t, r11 = r_inv[-v:, -v:], np.zeros((v, v, h.shape[0]), dtype=complex)
+        for i in range(v - 1, -1, -1):  # row i of R11 = t^-1 is (e_i - t[i, i+1:] R11[i+1:]) / t_ii
+            r11[i] = (np.eye(v)[i, :, None] - np.einsum("kb,kjb->jb", t[i, i + 1 :], r11[i + 1 :])) / t[i, i]
+        sc = np.einsum("kib,kjb->bij", r11.conj(), r11)
         out[start : start + h.shape[0]] = 0.5 * (sc + sc.conj().transpose(0, 2, 1))
     return out
 

@@ -175,12 +175,12 @@ def _sigma1(p: Rank1MgfParams, s: float) -> float:
     return s * p.gamma_k1 * p.alpha / (1.0 - s * p.gamma_k1)
 
 
-def mgf_gamma1_series(p: Rank1MgfParams, s: float, rtol: float = 1e-12) -> float:
+def mgf_gamma1_series(p: Rank1MgfParams, s: float) -> float:
     """Stream-1 SNR m.g.f.: Gamma factor times 1F1(n; n_r; sigma1(s))."""
     if s * p.gamma_k1 >= 1.0:
         raise ValueError("m.g.f. pole")
     gam = (1.0 - s * p.gamma_k1) ** (-p.n)
-    return gam * hypergeom.f11_series(p.n, p.n_r, _sigma1(p, s), rtol)
+    return gam * hypergeom.f11_series(p.n, p.n_r, _sigma1(p, s), 1e-12)
 
 
 def mgf_gamma1_det(p: Rank1MgfParams, s):

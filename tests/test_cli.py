@@ -300,6 +300,14 @@ class TestBadInput:
     def test_zero_grid_step(self, tmp_path, capsys):
         assert "nonzero step" in self.run(tmp_path, capsys, ["--grid", "0:0:10"])
 
+    @pytest.mark.parametrize("grid", ["0:1e-9:1000", "-3000:1e-300:3000", "0:1e-4:10"])
+    def test_grid_with_too_many_points(self, tmp_path, capsys, grid):
+        err = self.run(tmp_path, capsys, [f"--grid={grid}", "--methods", "approx"])
+        assert "more than 100,000 points" in err
+
+    def test_grid_at_the_point_cap_parses(self):
+        assert len(cli._parse_grid("0:1e-4:9.9999")) == 100_000
+
     def test_nan_grid(self, tmp_path, capsys):
         assert "finite numbers" in self.run(tmp_path, capsys, ["--grid", "nan"])
 

@@ -129,6 +129,13 @@ class TestGeneral:
         with pytest.raises(ValueError, match="ambient dimension"):
             f00_general(EigenSpectrum([1.0], [2]), EigenSpectrum([1.0], [3]))
 
+    @pytest.mark.parametrize("n_r", [21, 23, 30])
+    def test_coefficients_past_int64_refused(self, n_r):
+        # a multiplicity of n_r - 1 needs products such as P(19, 15) C(19, 15) > 2**63
+        # from n_r = 21; from n_r = 23 numpy turned them into an object array
+        with pytest.raises(ValueError, match=rf"^0F0 derivative coefficients leave int64 at n_r = {n_r}$"):
+            f00_general(EigenSpectrum([0.5, 0.0], [1, n_r - 1]), EigenSpectrum([1.0, 0.0], [1, n_r - 1]))
+
 
 class TestRankVIdempotent:
     def test_v1_collapse(self):

@@ -320,7 +320,16 @@ class TestChunkDriver:
     def test_channel_chunks_redraw_from_retry_substream(self, rng, monkeypatch):
         model = random_model(rng)
         seed, count, rows = 31, 1_500, [2, 5]
-        clean = [h.copy() for _, _, h, _, _ in mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count)]
+        # the factor's column order moves neither the draws nor the redraws
+        orders = [slice(None), np.r_[1:3, :1], np.r_[2:3, :2], np.array([1, 0, 2])]
+
+        def chunk(order):
+            ((_, _, h, q, r_inv),) = mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count, order)
+            return h, q, r_inv
+
+        clean = chunk(orders[0])[0]
+        for order in orders[1:]:
+            assert chunk(order)[0].tobytes() == clean.tobytes()
         calls = []
 
         def fake_bad(h, r_inv):
@@ -331,17 +340,20 @@ class TestChunkDriver:
             return bad
 
         monkeypatch.setattr(mcsim, "_bad_draws", fake_bad)
-        with pytest.warns(UserWarning, match="2 rank-deficient channel redraws in 1500"):
-            ((_, _, h, q, r_inv),) = list(mcsim._channel_chunks(model, seed, mcsim._SNR_SPACE, count))
-        assert calls == [count, len(rows)]
         keep = np.setdiff1d(np.arange(count), rows)
-        assert np.array_equal(h[keep], clean[0][keep])
         a_h = schur.ul_decompose(model.r_tk).conj().T
         g = standard_complex_normal(substream(seed, mcsim._SNR_SPACE, 0, RETRY_OFFSET + 1), (len(rows) * 4, 3))
-        assert np.array_equal(h[rows], model.h_d + (g @ a_h).reshape(len(rows), 4, 3))
-        # the replaced rows are refactored, so the factor matches the final draws
-        q_ref, r_inv_ref = mcsim._gram_schmidt(h)
-        assert np.array_equal(q, q_ref) and np.array_equal(r_inv, r_inv_ref)
+        redrawn = model.h_d + (g @ a_h).reshape(len(rows), 4, 3)
+        for order in orders:
+            calls.clear()
+            with pytest.warns(UserWarning, match="2 rank-deficient channel redraws in 1500"):
+                h, q, r_inv = chunk(order)
+            assert calls == [count, len(rows)]
+            assert h[keep].tobytes() == clean[keep].tobytes()
+            assert h[rows].tobytes() == redrawn.tobytes()
+            # the replaced rows are refactored, so the factor matches the final draws
+            q_ref, r_inv_ref = mcsim._gram_schmidt(h[:, :, order])
+            assert np.array_equal(q, q_ref) and np.array_equal(r_inv, r_inv_ref)
 
 
 class TestBatchedSc:
@@ -354,6 +366,21 @@ class TestBatchedSc:
         for k in range(count):
             oracle = schur.gramian_and_sc(h[k], v)
             assert np.abs(samples[k] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("case", ["rayleigh_only", "rice_ray"])
+    @pytest.mark.parametrize("n_r,n_t,v", [(4, 3, 2), (8, 6, 3), (8, 8, 4), (12, 12, 6), (12, 12, 11)])
+    def test_b1_matches_lapack_qr(self, case, n_r, n_t, v):
+        # B1's 3-degree spread makes W ill-conditioned. The reference is the
+        # LAPACK R of the same draws with the interfering columns first; both
+        # sides err by about eps cond(W), so the bound is TestGramSchmidtKernel's.
+        count, seed = 2_000, 80 + n_r + v
+        cfg = cli.ExperimentConfig(scenario="B1", fading_case=case, n_r=n_r, n_t=n_t, v=v)
+        model = cli.build_model(cfg)
+        samples = sample_sc(model, v, count, seed)
+        ((_, _, h, _, _),) = list(mcsim._channel_chunks(model, seed, mcsim._SC_SPACE, count))
+        ref = gramian(np.linalg.qr(h[:, :, np.r_[v:n_t, :v]], mode="r")[:, -v:, -v:])
+        tol = 64 * EPS * np.linalg.cond(gramian(h))
+        assert np.all(np.linalg.norm(samples - ref, axis=(1, 2)) <= tol * np.linalg.norm(ref, axis=(1, 2)))
 
 
 LAPACK_SHAPES = [(2, 2), (3, 3), (4, 3), (6, 4), (8, 6), (8, 8), (12, 8), (12, 12)]
