@@ -384,11 +384,17 @@ def f00_rank1_idempotent(sigma1, n: int, n_r: int):
 def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: int, seed: int):
     """Monte Carlo estimate of the Haar average of etr(S U L U^H).
 
-    U is the Q of a QR of a complex Ginibre matrix. Fixing the phases of
-    R's diagonal would make U exactly Haar, but it only multiplies each
-    column of Q by a unit phase, and the integrand depends on U through
-    |u_ik|^2 alone, so the fix is skipped. Returns (estimate,
-    standard_error); deterministic given seed, independent of chunking.
+    The integrand is exp(sum_ik s_i lambda_k |u_ik|^2). It reads only the
+    r columns of U where lambda_k != 0, or only the r rows where s_i != 0,
+    and each sample draws just those: the Q of an n x r complex Ginibre
+    matrix has the law of r columns of a Haar U, and, conjugated, of r
+    rows. Fixing the phases of R's diagonal would make Q exactly so, but
+    it only multiplies each column of Q by a unit phase, which |u_ik|^2
+    ignores, so the fix is skipped. The columns are drawn when lambda has
+    no more nonzeros than s (a full-rank pair draws n x n, as U itself),
+    the rows otherwise; with r = 0 the integrand is 1 and nothing is
+    drawn. Returns (estimate, standard_error); deterministic given seed,
+    independent of chunking.
     """
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
@@ -396,15 +402,22 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
     lam = np.asarray(lambda_diag, dtype=float)
     if s.size != lam.size:
         raise ValueError("spectra must have equal length")
-    n = s.size
+    cols, rows = np.flatnonzero(lam), np.flatnonzero(s)
+    if cols.size <= rows.size:  # |u_ik|^2 for the columns k of U in cols
+        w_row, w_col = s, lam[cols]
+    else:  # |u_ik|^2 = |conj(u)_ki|^2 for the rows i of U in rows, as columns of U^H
+        w_row, w_col = lam, s[rows]
+    n, r = w_row.size, w_col.size
+    if r == 0:
+        return 1.0, 0.0
     acc = 0.0
     acc2 = 0.0
     for key, _, m in chunks(seed, (), samples, _HAAR_CHUNK):
-        z = standard_complex_normal(substream(*key), (m, n, n))
+        z = standard_complex_normal(substream(*key), (m, n, r))
         vals = np.empty(m)
         for b in range(0, m, _QR_BLOCK):
             q = np.linalg.qr(z[b : b + _QR_BLOCK])[0]
-            vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, s, lam))
+            vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, w_row, w_col))
         acc += float(vals.sum())
         acc2 += float((vals**2).sum())
     mean = acc / samples

@@ -230,6 +230,11 @@ def mgf_sc_conditional(
     return det_pow * float(np.exp(tr.real))
 
 
+# Relative slack above 1 that an m.g.f. at negative-semidefinite theta may
+# show from rounding before it is refused.
+_MGF_ABOVE_ONE_RTOL = 1e-9
+
+
 def mgf_sc_rician_rayleigh(
     theta: np.ndarray, blocks: schur.PartitionBlocks, dims: SystemDims
 ) -> float:
@@ -240,7 +245,9 @@ def mgf_sc_rician_rayleigh(
     projector spectrum. S generically has v distinct nonzero eigenvalues,
     handled by the low-rank determinant form; degenerate spectra route
     through the general multiplicity form. A result that is not finite
-    and positive raises a ValueError naming theta's spectrum and n_r.
+    and positive, or that exceeds 1 (beyond a 1e-9 rounding slack) where
+    theta has no positive eigenvalue, raises a ValueError naming theta's
+    spectrum and n_r.
     """
     theta = np.asarray(theta, dtype=complex)
     if blocks.v != dims.v:
@@ -267,9 +274,12 @@ def mgf_sc_rician_rayleigh(
         lam = EigenSpectrum([1.0, 0.0], [dims.n_v, dims.n_r - dims.n_v])
         f00 = hypergeom.f00_general(cluster_spectrum(snapped), lam)
     value = float(det_pow * f00)
+    if math.isfinite(value) and 0.0 < value <= 1.0 + _MGF_ABOVE_ONE_RTOL:
+        return value
+    theta_eigs = np.linalg.eigvalsh(0.5 * (theta + theta.conj().T))
+    where = f"theta spectrum [{', '.join(f'{x:.3g}' for x in theta_eigs)}], n_r = {dims.n_r}"
     if not (math.isfinite(value) and value > 0.0):  # an m.g.f. is an expectation of exp(.) > 0
-        spectrum = ", ".join(f"{x:.3g}" for x in np.linalg.eigvalsh(0.5 * (theta + theta.conj().T)))
-        raise ValueError(
-            f"Schur-complement m.g.f. = {value!r} is not positive at theta spectrum [{spectrum}], n_r = {dims.n_r}"
-        )
+        raise ValueError(f"Schur-complement m.g.f. = {value!r} is not positive at {where}")
+    if theta_eigs.max() <= 0.0:  # tr(theta SC) <= 0 for a PSD complement, so exp(.) <= 1
+        raise ValueError(f"Schur-complement m.g.f. = {value!r} exceeds 1 at negative-semidefinite {where}")
     return value

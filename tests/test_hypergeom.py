@@ -17,6 +17,7 @@ from zfrician.hypergeom import (
     factorial_product,
     haar_oracle,
 )
+from zfrician.rng import standard_complex_normal
 
 # 200-term direct summation at 40-digit precision
 F11_2_4_15 = 2.2384986041439423799
@@ -266,9 +267,23 @@ class TestBeyondDoubleRange:
         assert abs(val - ref) <= 1e-12 * ref
 
 
+# haar_oracle (est, se) for full-rank pairs, float.hex(); recorded before
+# the oracle learned to draw only the columns its integrand reads. A
+# full-rank pair still draws n x n, so these hold byte for byte.
+HAAR_FULL_RANK_PINS = [
+    (([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], 25_000, 101), ("0x1.413941bde6b4ep+0", "0x1.f433ba10a7197p-9")),
+    (
+        ([1.3, 0.6, -0.2, -1.1], [1.0, 0.4, -0.3, -0.9], 25_000, 202),
+        ("0x1.4653e133f3bc9p+0", "0x1.732a05f9f968fp-8"),
+    ),
+]
+
+
 class TestHaarOracle:
-    def test_zero_s(self):
-        est, se = haar_oracle([0.0, 0.0, 0.0], [1.0, 0.5, 0.0], 2_000, seed=1)
+    @pytest.mark.parametrize("s, lam", [([0.0, 0.0, 0.0], [1.0, 0.5, 0.0]), ([0.4, -0.2, 0.1], [0.0, 0.0, 0.0])])
+    def test_zero_s_or_lambda(self, s, lam, monkeypatch):
+        monkeypatch.setattr(hypergeom, "standard_complex_normal", None)  # nothing is drawn
+        est, se = haar_oracle(s, lam, 2_000, seed=1)
         assert est == 1.0 and se == 0.0
 
     def test_identity_lambda_zero_variance(self):
@@ -285,13 +300,73 @@ class TestHaarOracle:
         with pytest.raises(ValueError, match="1000"):
             haar_oracle([1.0], [1.0], 10, seed=0)
 
-    def test_qr_blocks_do_not_change_bits(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5),
+            ([1.7, 0.9, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 25_000, 6),
+        ],
+        ids=["rank3_columns", "rank2_rows"],
+    )
+    def test_qr_blocks_do_not_change_bits(self, monkeypatch, args):
         # 25,000 samples: a full chunk and a partial one, each split into
         # blocks with a partial last block
-        args = ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5)
         blocked = haar_oracle(*args)
         monkeypatch.setattr(hypergeom, "_QR_BLOCK", hypergeom._HAAR_CHUNK)
         assert haar_oracle(*args) == blocked
+
+    @pytest.mark.parametrize("args, pin", HAAR_FULL_RANK_PINS, ids=["3x3", "4x4"])
+    def test_full_rank_bits_pinned(self, args, pin):
+        assert tuple(x.hex() for x in haar_oracle(*args)) == pin
+
+    @pytest.mark.parametrize(
+        "s, lam, shape",
+        [
+            ([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], (3, 3)),
+            ([2.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], (4, 2)),
+            ([1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0], (4, 2)),
+            ([0.0, 0.7, 0.0, 0.0, 0.0], [0.5, 0.0, 0.3, -0.2, 0.0], (5, 1)),
+        ],
+        ids=["full_rank", "rank2_rows", "rank2_columns", "rank1_rows"],
+    )
+    def test_draws_only_the_columns_read(self, s, lam, shape, monkeypatch):
+        drawn = []
+
+        def spy(rng, size):
+            drawn.append(size[1:])
+            return standard_complex_normal(rng, size)
+
+        monkeypatch.setattr(hypergeom, "standard_complex_normal", spy)
+        haar_oracle(s, lam, 1_000, seed=2)
+        assert drawn == [shape]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("sig", [[1.3], [1.6, -0.7]], ids=["v1", "v2"])
+    def test_row_form_against_rank_v(self, sig, n):
+        # rank-v S against a rank-3 idempotent: 3 > v nonzeros in lambda, so rows are drawn
+        val = f00_rank_v_idempotent(sig, 3, n)
+        s = list(sig) + [0.0] * (n - len(sig))
+        est, se = haar_oracle(s, [1.0, 1.0, 1.0] + [0.0] * (n - 3), 100_000, seed=30 + n)
+        assert abs(val - est) <= 4 * se
+
+    @pytest.mark.parametrize("s", [[1.2, 0.5, -0.3, -0.9], [1.2, 0.5, 0.1, -0.3, -0.9]], ids=["n4", "n5"])
+    def test_column_form_against_general(self, s):
+        # full-rank S against rank-2 L: 2 nonzeros in lambda, so columns are drawn
+        n = len(s)
+        val = f00_general(EigenSpectrum(s, [1] * n), EigenSpectrum([0.8, 0.0, -0.6], [1, n - 2, 1]))
+        est, se = haar_oracle(s, [0.8, -0.6] + [0.0] * (n - 2), 100_000, seed=40 + n)
+        assert abs(val - est) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "s, lam",
+        [([1.4, 0.6, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]), ([0.9, 0.3, -0.5], [1.1, 0.2, -0.8])],
+        ids=["rank2", "full_rank"],
+    )
+    def test_swapped_spectra_agree(self, s, lam):
+        # 0F0(S, L) = 0F0(L, S); the swapped call draws the other form
+        a, se_a = haar_oracle(s, lam, 100_000, seed=51)
+        b, se_b = haar_oracle(lam, s, 100_000, seed=52)
+        assert abs(a - b) <= 4 * math.hypot(se_a, se_b)
 
 
 class TestClusterSpectrum:

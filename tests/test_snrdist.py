@@ -324,7 +324,7 @@ class TestMatrixScMgf:
 
 
 class TestMatrixScMgfPositive:
-    """The v >= 2 complement m.g.f. raises rather than return a value <= 0."""
+    """The v >= 2 complement m.g.f. raises rather than return a value <= 0, or above 1 at theta <= 0."""
 
     @staticmethod
     def a1_rice_ray(n_r):
@@ -348,6 +348,30 @@ class TestMatrixScMgfPositive:
             assert "\n" not in str(exc)
         else:
             assert 0.0 < value <= 1.0
+
+    @pytest.mark.parametrize("n_r,theta,value", [(6, -1e-4, "427.14"), (14, -1e-2, "2177179.7")])
+    def test_above_one_at_negative_theta_refused(self, n_r, theta, value):
+        # At negative-semidefinite theta the m.g.f. of a PSD complement lies
+        # in (0, 1]; the determinant forms give these wrong values (ROADMAP item 8).
+        blocks, dims = self.a1_rice_ray(n_r)
+        with pytest.raises(ValueError) as exc:
+            mgf_sc_rician_rayleigh(theta * np.eye(2), blocks, dims)
+        msg = str(exc.value)
+        assert msg.startswith(f"Schur-complement m.g.f. = {value}")
+        assert msg.endswith(f"exceeds 1 at negative-semidefinite theta spectrum [{theta:.3g}, {theta:.3g}], n_r = {n_r}")
+        assert "\n" not in msg
+
+    def test_below_one_at_negative_theta_kept(self):
+        blocks, dims = self.a1_rice_ray(8)
+        assert round(mgf_sc_rician_rayleigh(-0.1 * np.eye(2), blocks, dims), 5) == 0.11946
+
+    def test_above_one_at_indefinite_theta_kept(self, monkeypatch):
+        # theta with a positive eigenvalue may have an m.g.f. above 1
+        blocks, dims = self.a1_rice_ray(8)
+        monkeypatch.setattr(snrdist.hypergeom, "f00_rank_v_idempotent", lambda *args: 1e3)
+        monkeypatch.setattr(snrdist.hypergeom, "f00_general", lambda *args: 1e3)
+        value = mgf_sc_rician_rayleigh(np.diag([0.05, -0.2]).astype(complex), blocks, dims)
+        assert value > 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
     def test_non_positive_or_non_finite_refused(self, bad, monkeypatch):
