@@ -280,11 +280,14 @@ HAAR_FULL_RANK_PINS = [
 
 
 class TestHaarOracle:
-    @pytest.mark.parametrize("s, lam", [([0.0, 0.0, 0.0], [1.0, 0.5, 0.0]), ([0.4, -0.2, 0.1], [0.0, 0.0, 0.0])])
-    def test_zero_s_or_lambda(self, s, lam, monkeypatch):
-        monkeypatch.setattr(hypergeom, "standard_complex_normal", None)  # nothing is drawn
-        est, se = haar_oracle(s, lam, 2_000, seed=1)
+    def test_zero_s(self):
+        est, se = haar_oracle([0.0, 0.0, 0.0], [1.0, 0.5, 0.0], 2_000, seed=1)
         assert est == 1.0 and se == 0.0
+
+    def test_zero_lambda_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "standard_complex_normal", None)  # a draw would raise
+        assert haar_oracle([0.4, -0.2, 0.1], [0.0, 0.0, 0.0], 2_000, seed=1) == (1.0, 0.0)
+        assert haar_oracle([0.0, 0.0, 0.0], [1.0, 0.5, 0.0], 2_000, seed=1) == (1.0, 0.0)
 
     def test_identity_lambda_zero_variance(self):
         est, se = haar_oracle([0.4, -0.2, 0.1], [1.0, 1.0, 1.0], 2_000, seed=1)
@@ -300,20 +303,16 @@ class TestHaarOracle:
         with pytest.raises(ValueError, match="1000"):
             haar_oracle([1.0], [1.0], 10, seed=0)
 
-    @pytest.mark.parametrize(
-        "args",
-        [
+    def test_qr_blocks_do_not_change_bits(self, monkeypatch):
+        # 25,000 samples: a full chunk and a partial one, each split into
+        # blocks with a partial last block; 3 columns, then 2 rows, drawn
+        cases = [
             ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5),
             ([1.7, 0.9, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 25_000, 6),
-        ],
-        ids=["rank3_columns", "rank2_rows"],
-    )
-    def test_qr_blocks_do_not_change_bits(self, monkeypatch, args):
-        # 25,000 samples: a full chunk and a partial one, each split into
-        # blocks with a partial last block
-        blocked = haar_oracle(*args)
+        ]
+        blocked = [haar_oracle(*args) for args in cases]
         monkeypatch.setattr(hypergeom, "_QR_BLOCK", hypergeom._HAAR_CHUNK)
-        assert haar_oracle(*args) == blocked
+        assert [haar_oracle(*args) for args in cases] == blocked
 
     @pytest.mark.parametrize("args, pin", HAAR_FULL_RANK_PINS, ids=["3x3", "4x4"])
     def test_full_rank_bits_pinned(self, args, pin):
