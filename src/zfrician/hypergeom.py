@@ -132,6 +132,9 @@ def f11_series(a: float, b: float, x: float, rtol: float = 1e-14) -> float:
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
+    for name, value in (("a", a), ("b", b), ("x", x)):
+        if not math.isfinite(value):
+            raise ValueError(f"1F1 needs a finite {name}, got {value}")
     if b <= 0 and b == int(b):
         raise ValueError("b must not be a nonpositive integer")
     shift = 0.0
@@ -381,20 +384,37 @@ def f00_rank1_idempotent(sigma1, n: int, n_r: int):
     return out.reshape(sig.shape) if sig.ndim else float(out[0])
 
 
+def _most_repeated(x: np.ndarray) -> float:
+    """The value repeated most often in x (exact equality); among ties
+    0.0, then the smallest magnitude, then the positive one."""
+    vals, counts = np.unique(x, return_counts=True)
+    tied = vals[counts == counts.max()]
+    return min((float(v) + 0.0 for v in tied), key=lambda v: (v != 0.0, abs(v), v < 0))
+
+
 def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: int, seed: int):
     """Monte Carlo estimate of the Haar average of etr(S U L U^H).
 
-    The integrand is exp(sum_ik s_i lambda_k |u_ik|^2). It reads only the
-    r columns of U where lambda_k != 0, or only the r rows where s_i != 0,
-    and each sample draws just those: the Q of an n x r complex Ginibre
-    matrix has the law of r columns of a Haar U, and, conjugated, of r
-    rows. Fixing the phases of R's diagonal would make Q exactly so, but
-    it only multiplies each column of Q by a unit phase, which |u_ik|^2
-    ignores, so the fix is skipped. The columns are drawn when lambda has
-    no more nonzeros than s (a full-rank pair draws n x n, as U itself),
-    the rows otherwise; with r = 0 the integrand is 1 and nothing is
-    drawn. Returns (estimate, standard_error); deterministic given seed,
-    independent of chunking.
+    The integrand is exp(sum_ik s_i lambda_k |u_ik|^2). Every row and
+    column of U is a unit vector, so for any constants c and d it equals,
+    pointwise, exp(d sum(s) + c sum(lambda) - n c d) times
+    exp(sum_ik (s_i - c)(lambda_k - d) |u_ik|^2). The oracle takes c and d
+    as the most repeated values of s and lambda (ties go to 0.0, then the
+    smallest magnitude, then the positive value), which leaves the law of
+    the estimate unchanged and zeroes as many weights as possible.
+
+    The shifted integrand reads only the r columns of U where
+    lambda_k != d, or only the r rows where s_i != c, and each sample
+    draws just those: the Q of an n x r complex Ginibre matrix has the
+    law of r columns of a Haar U, and, conjugated, of r rows. Fixing the
+    phases of R's diagonal would make Q exactly so, but it only
+    multiplies each column of Q by a unit phase, which |u_ik|^2 ignores,
+    so the fix is skipped. The columns are drawn when lambda - d has no
+    more nonzeros than s - c, the rows otherwise. A full-rank pair draws
+    n x (n - 1); with r = 0 (a constant spectrum) the integrand is
+    constant and nothing is drawn. Returns (estimate, standard_error);
+    deterministic given seed, independent of chunking. Non-finite input,
+    or an estimate beyond double range, raises ValueError.
     """
     if samples < 1_000:
         raise ValueError("need at least 1000 samples")
@@ -402,27 +422,45 @@ def haar_oracle(s_diag: Sequence[float], lambda_diag: Sequence[float], samples: 
     lam = np.asarray(lambda_diag, dtype=float)
     if s.size != lam.size:
         raise ValueError("spectra must have equal length")
+    if not (np.isfinite(s).all() and np.isfinite(lam).all()):
+        raise ValueError(f"Haar oracle needs finite spectra, got s = {s.tolist()}, lambda = {lam.tolist()}")
+    beyond = ValueError(f"Haar oracle leaves double range at s = {s.tolist()}, lambda = {lam.tolist()}")
+    n = s.size
+    c, d = _most_repeated(s), _most_repeated(lam)
+    try:
+        factor = math.exp(d * float(s.sum()) + c * float(lam.sum()) - n * c * d)
+    except OverflowError:
+        raise beyond from None
+    if not math.isfinite(factor):
+        raise beyond
+    s, lam = s - c, lam - d
     cols, rows = np.flatnonzero(lam), np.flatnonzero(s)
     if cols.size <= rows.size:  # |u_ik|^2 for the columns k of U in cols
         w_row, w_col = s, lam[cols]
     else:  # |u_ik|^2 = |conj(u)_ki|^2 for the rows i of U in rows, as columns of U^H
         w_row, w_col = lam, s[rows]
-    n, r = w_row.size, w_col.size
+    r = w_col.size
     if r == 0:
-        return 1.0, 0.0
+        return factor, 0.0
     acc = 0.0
     acc2 = 0.0
-    for key, _, m in chunks(seed, (), samples, _HAAR_CHUNK):
-        z = standard_complex_normal(substream(*key), (m, n, r))
-        vals = np.empty(m)
-        for b in range(0, m, _QR_BLOCK):
-            q = np.linalg.qr(z[b : b + _QR_BLOCK])[0]
-            vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, w_row, w_col))
-        acc += float(vals.sum())
-        acc2 += float((vals**2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond double range raises below
+        for key, _, m in chunks(seed, (), samples, _HAAR_CHUNK):
+            z = standard_complex_normal(substream(*key), (m, n, r))
+            vals = np.empty(m)
+            for b in range(0, m, _QR_BLOCK):
+                q = np.linalg.qr(z[b : b + _QR_BLOCK])[0]
+                vals[b : b + _QR_BLOCK] = np.exp(np.einsum("bik,i,k->b", np.abs(q) ** 2, w_row, w_col))
+            acc += float(vals.sum())
+            acc2 += float((vals**2).sum())
+    if not math.isfinite(acc2):
+        raise beyond
     mean = acc / samples
     var = max(acc2 / samples - mean**2, 0.0)
-    return mean, math.sqrt(var / samples)
+    est, se = factor * mean, factor * math.sqrt(var / samples)
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise beyond
+    return est, se
 
 
 def cluster_spectrum(eigenvalues: Sequence[float]) -> EigenSpectrum:

@@ -71,6 +71,21 @@ class TestScalars:
         with pytest.raises(RuntimeError, match="overflows"):
             f11_series(2, 4, 800.0)
 
+    @pytest.mark.parametrize(
+        "a, b, x, name",
+        [
+            (2, 4, float("nan"), "x"),
+            (2, 4, float("inf"), "x"),
+            (2, 4, float("-inf"), "x"),
+            (float("nan"), 4, 1.0, "a"),
+            (2, float("inf"), 1.0, "b"),
+        ],
+    )
+    def test_f11_non_finite_refused(self, a, b, x, name):
+        # refused before summing, not after 100,000 terms as "did not converge"
+        with pytest.raises(ValueError, match=f"^1F1 needs a finite {name}, got "):
+            f11_series(a, b, x)
+
 
 class TestDistinct:
     def test_1x1(self):
@@ -88,6 +103,23 @@ class TestDistinct:
         val = f00_distinct(sig, lam)
         est, se = haar_oracle(sig, lam, 150_000, seed=11)
         assert abs(val - est) <= 3 * se
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_against_haar_beyond_size_4(self, size):
+        # AC2 covers sizes 3 and 4; the same spectrum law, three cases per size
+        rng = np.random.default_rng(9_000 + size)
+
+        def draw_spectrum():
+            while True:
+                vals = np.sort(rng.uniform(-1.5, 1.5, size))[::-1]
+                if np.min(-np.diff(vals)) > 0.15:
+                    return vals
+
+        for _ in range(3):
+            sig, lam = draw_spectrum(), draw_spectrum()
+            val = f00_distinct(sig, lam)
+            est, se = haar_oracle(sig, lam, 150_000, seed=int(rng.integers(1 << 30)))
+            assert abs(val - est) <= 4 * se, (sig, lam, val, est, se)
 
     def test_near_coincident_refused(self):
         with pytest.raises(ValueError, match="use f00_general"):
@@ -267,13 +299,19 @@ class TestBeyondDoubleRange:
         assert abs(val - ref) <= 1e-12 * ref
 
 
-# haar_oracle (est, se) for full-rank pairs, float.hex(); recorded before
-# the oracle learned to draw only the columns its integrand reads. A
-# full-rank pair still draws n x n, so these hold byte for byte.
+# haar_oracle (est, se) for full-rank pairs, float.hex(): the pin, then the
+# same call before the oracle shifted each spectrum by its most repeated
+# value. The pre-shift values drew n x n, the pins draw n x (n - 1), so the
+# two are independent estimates of the same average.
 HAAR_FULL_RANK_PINS = [
-    (([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], 25_000, 101), ("0x1.413941bde6b4ep+0", "0x1.f433ba10a7197p-9")),
+    (
+        ([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], 25_000, 101),
+        ("0x1.4173590d3cfd9p+0", "0x1.f3cb38398fbf5p-9"),
+        ("0x1.413941bde6b4ep+0", "0x1.f433ba10a7197p-9"),
+    ),
     (
         ([1.3, 0.6, -0.2, -1.1], [1.0, 0.4, -0.3, -0.9], 25_000, 202),
+        ("0x1.48734c730e998p+0", "0x1.76071b00510c7p-8"),
         ("0x1.4653e133f3bc9p+0", "0x1.732a05f9f968fp-8"),
     ),
 ]
@@ -305,7 +343,7 @@ class TestHaarOracle:
 
     def test_qr_blocks_do_not_change_bits(self, monkeypatch):
         # 25,000 samples: a full chunk and a partial one, each split into
-        # blocks with a partial last block; 3 columns, then 2 rows, drawn
+        # blocks with a partial last block; 3 columns, then 2, drawn
         cases = [
             ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5),
             ([1.7, 0.9, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 25_000, 6),
@@ -314,16 +352,57 @@ class TestHaarOracle:
         monkeypatch.setattr(hypergeom, "_QR_BLOCK", hypergeom._HAAR_CHUNK)
         assert [haar_oracle(*args) for args in cases] == blocked
 
-    @pytest.mark.parametrize("args, pin", HAAR_FULL_RANK_PINS, ids=["3x3", "4x4"])
-    def test_full_rank_bits_pinned(self, args, pin):
-        assert tuple(x.hex() for x in haar_oracle(*args)) == pin
+    @pytest.mark.parametrize("args, pin, pre_shift", HAAR_FULL_RANK_PINS, ids=["3x3", "4x4"])
+    def test_full_rank_bits_pinned(self, args, pin, pre_shift):
+        est, se = haar_oracle(*args)
+        assert (est.hex(), se.hex()) == pin
+        old_est, old_se = (float.fromhex(x) for x in pre_shift)
+        assert abs(est - old_est) <= 4 * math.hypot(se, old_se)
 
+    def test_constant_lambda_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "standard_complex_normal", None)  # a draw would raise
+        s = [0.4, -0.2, 0.1]
+        est, se = haar_oracle(s, [0.7, 0.7, 0.7], 2_000, seed=1)
+        ref = math.exp(0.7 * sum(s))
+        assert abs(est - ref) <= 1e-15 * ref and se == 0.0
+
+    def test_zero_wins_a_tie(self, monkeypatch):
+        # 0.0 ties with -0.4 in s and with -0.5 in lambda: neither spectrum is
+        # shifted, so the draw and the bytes are those of the unshifted oracle
+        drawn = []
+
+        def spy(rng, size):
+            drawn.append(size[1:])
+            return standard_complex_normal(rng, size)
+
+        monkeypatch.setattr(hypergeom, "standard_complex_normal", spy)
+        est, se = haar_oracle([0.9, -0.4, 0.0, -0.4, 0.0], [0.0, 0.6, -0.5, 0.0, -0.5], 2_000, seed=3)
+        assert drawn == [(5, 3)]
+        assert (est.hex(), se.hex()) == ("0x1.02723448d1100p+0", "0x1.2e932fbdaf6fap-8")
+
+    @pytest.mark.parametrize(
+        "s, lam, match",
+        [
+            ([400.0, 0.0, 0.0], [3.0, 0.0, 0.0], "leaves double range"),
+            ([400.0, 400.0, 400.0, 1.0], [3.0, 3.0, 3.0, 1.0], "leaves double range"),
+            ([float("nan"), 0.0, 0.0], [3.0, 0.0, 0.0], "needs finite spectra"),
+            ([1.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], "needs finite spectra"),
+        ],
+        ids=["estimate_overflows", "shift_overflows", "nan", "inf"],
+    )
+    def test_non_finite_refused(self, s, lam, match):
+        with pytest.raises(ValueError, match=f"^Haar oracle {match}") as err:
+            haar_oracle(s, lam, 2_000, seed=1)
+        assert "\n" not in str(err.value)
+
+    # The ids name the form the unshifted oracle drew. Shifting (1, 1, 1, 0)
+    # by 1 leaves one nonzero, so rank2_rows now draws a column, rank2_columns a row.
     @pytest.mark.parametrize(
         "s, lam, shape",
         [
-            ([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], (3, 3)),
-            ([2.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], (4, 2)),
-            ([1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0], (4, 2)),
+            ([0.9, 0.3, -0.5], [1.1, 0.2, -0.8], (3, 2)),
+            ([2.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], (4, 1)),
+            ([1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0], (4, 1)),
             ([0.0, 0.7, 0.0, 0.0, 0.0], [0.5, 0.0, 0.3, -0.2, 0.0], (5, 1)),
         ],
         ids=["full_rank", "rank2_rows", "rank2_columns", "rank1_rows"],
@@ -342,7 +421,7 @@ class TestHaarOracle:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("sig", [[1.3], [1.6, -0.7]], ids=["v1", "v2"])
     def test_row_form_against_rank_v(self, sig, n):
-        # rank-v S against a rank-3 idempotent: 3 > v nonzeros in lambda, so rows are drawn
+        # rank-v S against a rank-3 idempotent; after the shift n = 5, v = 1 draws rows
         val = f00_rank_v_idempotent(sig, 3, n)
         s = list(sig) + [0.0] * (n - len(sig))
         est, se = haar_oracle(s, [1.0, 1.0, 1.0] + [0.0] * (n - 3), 100_000, seed=30 + n)
