@@ -78,10 +78,8 @@ def aep_rice_ray_det(p: Rank1MgfParams, m: int, nodes: int = QUADRATURE_NODES):
     """Exact stream-1 AEP for a Rician stream over zero-mean interference.
 
     Integrates the determinantal m.g.f., evaluated on all quadrature nodes
-    (and all entries of an array ``p.gamma_k1``) in one call; nodes where
-    the effective argument is below the small-sigma threshold use the
-    series form of the identical value. An AEP outside [0, 1], which the
-    determinant's cancellation can produce, raises a ValueError.
+    (and all entries of an array ``p.gamma_k1``) in one call. An AEP
+    outside [0, 1] or not finite raises a ValueError.
     """
     if p.alpha <= 0:
         raise ValueError("alpha must be positive (genuinely Rician stream)")

@@ -187,8 +187,7 @@ def mgf_gamma1_det(p: Rank1MgfParams, s):
     """Determinantal form of the stream-1 SNR m.g.f.; s may be an array.
 
     Gamma factor times the rank-1 0F0 at sigma1(s), one
-    ``f00_rank1_idempotent`` call for all arguments (it sums the series of
-    the same 1F1 value below the small-sigma threshold, including s = 0).
+    ``f00_rank1_idempotent`` call for all arguments.
     With an array ``p.gamma_k1`` of k entries the result has one row per
     entry, shape (k, *s.shape). Both factors are formed elementwise in the
     scalar order of operations, so each value is bit-identical to a scalar

@@ -61,3 +61,25 @@ def draw_channels(model: ChannelModel, count: int, seed: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+def mpmath_rice_ray_aep(p, m: int, dps: int = 40) -> float:
+    """Stream-1 AEP with every m.g.f. value from ``mpmath.hyp1f1`` at ``dps`` digits.
+
+    It sums the same 96-node rule as ``aep.aep_rice_ray_det`` (its float
+    arguments and weights), so it differs from that evaluator only by the
+    error of the 1F1 values and of the float arithmetic. ``p.gamma_k1`` is
+    a scalar.
+    """
+    import mpmath as mp
+
+    from zfrician.aep import QUADRATURE_NODES, _quad_rule
+
+    s, w = _quad_rule(m, QUADRATURE_NODES)
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for si, wi in zip(s.tolist(), w.tolist()):
+            one_minus = 1 - mp.mpf(si) * p.gamma_k1
+            sigma1 = mp.mpf(si) * p.gamma_k1 * p.alpha / one_minus
+            total += wi * one_minus ** (-p.n) * mp.hyp1f1(p.n, p.n_r, sigma1)
+        return float(total / mp.pi)

@@ -24,10 +24,10 @@ def report(tag: str, ok: bool, detail: str, elapsed: float, budget: float) -> No
 
 
 def test_criterion_1_confluent_identity():
-    """Rank-1/idempotent determinant equals the 1F1 series on the full grid."""
+    """Rank-1/idempotent 0F0 equals the 1F1 series on the full grid."""
     t0 = time.time()
     worst = 0.0
-    for n_r in range(1, 7):
+    for n_r in range(1, 13):
         for n in range(1, n_r + 1):
             for sigma1 in np.geomspace(0.1, 50.0, 20):
                 det_form = hypergeom.f00_rank1_idempotent(sigma1, n, n_r)
@@ -36,7 +36,7 @@ def test_criterion_1_confluent_identity():
     report(
         "AC1",
         worst <= 1e-7,
-        f"max relative 0F0-vs-1F1 deviation {worst:.2e} <= 1e-7 over 1<=N<=N_R<=6, sigma in [0.1,50]",
+        f"max relative 0F0-vs-1F1 deviation {worst:.2e} <= 1e-7 over 1<=N<=N_R<=12, sigma in [0.1,50]",
         time.time() - t0,
         5.0,
     )
@@ -191,7 +191,7 @@ def test_criterion_7_mgf_path_independence():
     worst = 0.0
     evaluated = 0
     for _ in range(100):
-        n_r = int(rng.integers(2, 7))
+        n_r = int(rng.integers(2, 13))
         n_t = int(rng.integers(2, n_r + 1))
         p = Rank1MgfParams(
             gamma_k1=float(rng.uniform(0.05, 5.0)),
@@ -201,9 +201,6 @@ def test_criterion_7_mgf_path_independence():
             n_t=n_t,
         )
         for s in s_grid:
-            sigma1 = s * p.gamma_k1 * p.alpha / (1.0 - s * p.gamma_k1)
-            if abs(sigma1) < hypergeom.SMALL_SIGMA:
-                continue  # below the threshold both paths share the series form
             a = snrdist.mgf_gamma1_series(p, float(s))
             b = snrdist.mgf_gamma1_det(p, float(s))
             worst = max(worst, abs(a - b) / abs(a))

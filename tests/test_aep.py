@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from zfrician import aep
 from zfrician.aep import (
     aep_exact_condition,
     aep_from_mgf,
     aep_rice_ray_det,
 )
-from zfrician.snrdist import GammaSnrDist, Rank1MgfParams, mgf_gamma, mgf_gamma1_series
+from zfrician.snrdist import GammaSnrDist, Rank1MgfParams, mgf_gamma, mgf_gamma1_det, mgf_gamma1_series
 
 # adaptive quadrature (scipy.integrate.quad, epsabs=1e-14) of the M=4,
 # gamma=10 integrand
@@ -92,13 +93,27 @@ class TestRiceRayDet:
             vals.append(v)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_not_a_probability_refused(self):
-        # sigma1 on the nodes lies in (-0.3, -0.1): above the series switch the
-        # n_r = 12 determinant cancels, and the quadrature sum comes out -58.9
+    def test_small_alpha_at_n_r_12(self):
+        # sigma1 on the nodes lies in (-0.3, -0.1), where the determinant
+        # cancelled (it gave -58.9); mpmath's 1F1 on the same rule gives
+        # 0.011655120197831428
+        p = Rank1MgfParams(gamma_k1=4.0, alpha=0.3, n=7, n_r=12, n_t=6)
+        assert abs(aep_rice_ray_det(p, 8) - 0.011655120197831428) <= 1e-14 * 0.0117
+
+    def test_not_a_probability_refused(self, monkeypatch):
+        # an m.g.f. of -1 everywhere gives the AEP -(M - 1)/M, to rounding
+        monkeypatch.setattr(aep, "mgf_gamma1_det", lambda p, s: -np.ones(np.shape(np.multiply.outer(p.gamma_k1, s))))
         bad = Rank1MgfParams(gamma_k1=4.0, alpha=0.3, n=7, n_r=12, n_t=6)
-        msg = r"determinantal AEP = -58\.85\d* at n_r = 12, n = 7, alpha = 0\.3 is not a probability in \[0, 1\]$"
+        msg = r"determinantal AEP = -0\.87\d* at n_r = 12, n = 7, alpha = 0\.3 is not a probability in \[0, 1\]$"
         with pytest.raises(ValueError, match=msg):
             aep_rice_ray_det(bad, 8)
+
+        def one_bad_row(p, s):
+            vals = mgf_gamma1_det(p, s)
+            vals[1] = -1.0
+            return vals
+
+        monkeypatch.setattr(aep, "mgf_gamma1_det", one_bad_row)
         with pytest.raises(ValueError, match="determinantal AEP"):  # one bad entry refuses the array
             aep_rice_ray_det(Rank1MgfParams(np.array([4.0, 4.0]), 0.6, 7, 12, 6), 8)
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from zfrician import channel, cli, schur
+from zfrician import channel, cli, schur, snrdist
 from zfrician.cli import (
     ExperimentConfig,
     ResultRow,
@@ -17,6 +17,8 @@ from zfrician.cli import (
     main,
     run_experiment,
 )
+
+from conftest import mpmath_rice_ray_aep
 
 
 def tiny_cfg(**kw):
@@ -288,14 +290,18 @@ class TestBadInput:
     def run(self, tmp_path, capsys, args, config=None):
         argv = ["--out", str(tmp_path / "out.csv"), "--trials", "2000", *args]
         if config is not None:
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(config))
-            argv += ["--config", str(cfg_path)]
+            argv += ["--config", self.write(tmp_path, config)]
         assert main(argv) == 1
         assert not (tmp_path / "out.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
+
+    @staticmethod
+    def write(tmp_path, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        return str(cfg_path)
 
     def test_zero_grid_step(self, tmp_path, capsys):
         assert "nonzero step" in self.run(tmp_path, capsys, ["--grid", "0:0:10"])
@@ -359,17 +365,39 @@ class TestBadInput:
         err = self.run(tmp_path, capsys, [], config)
         assert f"azimuth_spread_deg {spread!r} gives a numerically singular transmit correlation at n_t = 3" in err
 
-    def test_determinantal_beyond_double_range(self, tmp_path, capsys):
-        # n = 28 streams' worth of factorials overflow the 0F0 normalization
-        config = dict(scenario="custom", k_db=-20, azimuth_spread_deg=10, fading_case="rice_ray", n_r=30, n_t=3)
-        assert "out of double range at n_r = 30, n = 28" in self.run(tmp_path, capsys, [], config)
+    def rice_ray_against_mpmath(self, tmp_path, config):
+        # the determinantal AEPs of a config, checked point by point against mpmath's 1F1
+        out = tmp_path / "det.csv"
+        assert main(["--out", str(out), "--methods", "determinantal", "--config", self.write(tmp_path, config)]) == 0
+        with open(out) as fh:
+            got = [float(r["aep_det"]) for r in csv.DictReader(fh)]
+        cfg = ExperimentConfig(**config)
+        model = build_model(cfg)
+        for gb, val in zip(cfg.gamma_b_grid_db, got, strict=True):
+            p = snrdist.rank1_params(model, channel.LinkBudget.from_gamma_b_db(gb, cfg.n_t, cfg.m).gamma_s)
+            ref = mpmath_rice_ray_aep(p, cfg.m)
+            assert abs(val - ref) <= 1e-10 * ref, (gb, val, ref)
 
-    def test_determinantal_not_a_probability(self, tmp_path, capsys):
-        # the n_r = 14 determinant cancels at small alpha; the evaluator refuses
-        # before the simulations run, so emit_csv never sees the value
+    def test_determinantal_beyond_double_range(self, tmp_path, capsys):
+        # n = 28 streams' worth of factorials overflowed the determinant's
+        # normalization; the quadrature has none, and refuses only past the
+        # n_r its mpmath test covers
+        pytest.importorskip("mpmath")
+        config = dict(scenario="custom", k_db=-20, azimuth_spread_deg=10, fading_case="rice_ray", n_r=30, n_t=3)
+        self.rice_ray_against_mpmath(tmp_path, config)
+        err = self.run(tmp_path, capsys, [], {**config, "n_r": 41})
+        assert "rank-1 0F0 is evaluated for n_r <= 40, got n_r = 41" in err
+
+    def test_determinantal_not_a_probability(self, tmp_path, capsys, monkeypatch):
+        # the n_r = 14 determinant cancelled here (-88.9); the quadrature is exact
+        pytest.importorskip("mpmath")
         config = dict(scenario="custom", k_db=-25, azimuth_spread_deg=10, fading_case="rice_ray", n_r=14, n_t=3)
+        self.rice_ray_against_mpmath(tmp_path, config)
+        # a value outside [0, 1] (here an m.g.f. of -1, so the AEP -3/4) is
+        # refused before the simulations run, so emit_csv never sees it
+        monkeypatch.setattr(cli.aep, "mgf_gamma1_det", lambda p, s: -np.ones(np.shape(np.multiply.outer(p.gamma_k1, s))))
         err = self.run(tmp_path, capsys, [], config)
-        assert err.startswith("error: determinantal AEP = -88.9") and "at n_r = 14, n = 12, alpha = " in err
+        assert err.startswith("error: determinantal AEP = -0.75 ") and "at n_r = 14, n = 12, alpha = " in err
 
     def test_probability_out_of_range(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.aep, "aep_exact_condition", lambda n, gamma_ki, m: np.full(np.shape(gamma_ki), np.nan))

@@ -223,21 +223,22 @@ class TestRank1Idempotent:
         assert abs(val - (math.e - 1.0)) < 1e-12
 
     def test_small_sigma_fallback_continuous(self):
-        lo = f00_rank1_idempotent(0.099, 2, 4)  # series branch
-        hi = f00_rank1_idempotent(0.101, 2, 4)  # determinant branch
+        # either side of SMALL_SIGMA (0.1): no branch of the rank-1 path switches there
+        lo = f00_rank1_idempotent(0.099, 2, 4)
+        hi = f00_rank1_idempotent(0.101, 2, 4)
         ref_lo = f11_series(2, 4, 0.099)
         ref_hi = f11_series(2, 4, 0.101)
         assert abs(lo - ref_lo) < 1e-12
         assert abs(hi - ref_hi) < 1e-8
 
     def test_log_domain_branch(self):
-        # above the exp-factoring threshold the value still matches the series
+        # exp(250) times the Jacobi sum of the reflection matches the series
         val = f00_rank1_idempotent(250.0, 2, 4)
         ref = f11_series(2, 4, 250.0)
         assert abs(val - ref) < 1e-7 * abs(ref)
 
     def test_array_equals_scalar_calls(self):
-        # series (|sigma| < 0.1), direct-determinant and log-domain entries in one array
+        # both Jacobi rules, sigma = 0 and n == n_r in one array
         sig = np.array([[0.05, -0.09, 0.1, -0.3], [1.7, -25.0, 150.0, 250.0], [-0.0, 380.0, 210.0, -7.5]])
         for n, n_r in ((2, 4), (1, 5), (4, 4)):
             arr = f00_rank1_idempotent(sig, n, n_r)
@@ -248,6 +249,31 @@ class TestRank1Idempotent:
         with pytest.raises(ValueError, match="1 <= n <= n_r"):
             f00_rank1_idempotent([1.0, 2.0], 5, 4)
 
+    def test_sigma_zero_is_one(self):
+        assert f00_rank1_idempotent(np.array([0.0, -0.0]), 3, 7).tolist() == [1.0, 1.0]
+
+    def test_n_r_past_the_tested_range_refused(self):
+        with pytest.raises(ValueError, match=r"^rank-1 0F0 is evaluated for n_r <= 40, got n_r = 41$"):
+            f00_rank1_idempotent(-1.0, 3, 41)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^rank-1 0F0 needs finite sigma, got "):
+            f00_rank1_idempotent([-1.0, bad], 3, 7)
+
+    @pytest.mark.parametrize("n_r", range(2, 41))
+    def test_against_mpmath(self, n_r):
+        # Kummer's quadrature over its whole stated domain: every n < n_r,
+        # and sigma1 log-spaced on both sides of 0, across the Jacobi /
+        # Laguerre split at -300 and up to 600 (reflection)
+        mp = pytest.importorskip("mpmath")
+        sig = np.concatenate([-np.geomspace(1e-4, 1.6e4, 17), np.geomspace(1e-4, 600.0, 13)])
+        for n in range(1, n_r):
+            vals = f00_rank1_idempotent(sig, n, n_r)
+            for val, s in zip(vals.tolist(), sig.tolist()):
+                ref = mp.hyp1f1(n, n_r, s)
+                assert abs(val - ref) <= 1e-10 * ref, (n, s, val)
+
 
 class TestLogDomainAssembly:
     """Factoring exp(sigma) out of the table agrees with the direct determinant."""
@@ -255,13 +281,12 @@ class TestLogDomainAssembly:
     @pytest.mark.parametrize(
         "f00",
         [
-            lambda: f00_rank1_idempotent(250.0, 2, 4),
             lambda: f00_rank_v_idempotent([260.0, 245.0], 3, 4),
             # three shifted rows: exp(-390) * exp(-380) underflows a
             # determinant whose pivots all fit a double
             lambda: f00_rank_v_idempotent([400.0, 390.0, 380.0], 1, 4),
         ],
-        ids=["v1", "v2", "v3_small_rank"],
+        ids=["v2", "v3_small_rank"],
     )
     def test_agrees_with_direct(self, f00, monkeypatch):
         logged = f00()
@@ -343,10 +368,12 @@ class TestHaarOracle:
 
     def test_qr_blocks_do_not_change_bits(self, monkeypatch):
         # 25,000 samples: a full chunk and a partial one, each split into
-        # blocks with a partial last block; 3 columns, then 2, drawn
+        # blocks with a partial last block; 3 columns, then 2, then 2 rows
+        # (s - 0 has 2 nonzeros, lambda - 0.1 has 4) drawn
         cases = [
             ([0.9, -0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0.0], 25_000, 5),
             ([1.7, 0.9, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], 25_000, 6),
+            ([1.2, -0.5, 0.0, 0.0, 0.0], [0.9, 0.4, 0.1, -0.3, 0.6], 25_000, 7),
         ]
         blocked = [haar_oracle(*args) for args in cases]
         monkeypatch.setattr(hypergeom, "_QR_BLOCK", hypergeom._HAAR_CHUNK)
@@ -385,10 +412,12 @@ class TestHaarOracle:
         [
             ([400.0, 0.0, 0.0], [3.0, 0.0, 0.0], "leaves double range"),
             ([400.0, 400.0, 400.0, 1.0], [3.0, 3.0, 3.0, 1.0], "leaves double range"),
+            ([-400.0, -400.0, -400.0, 1.0], [3.0, 3.0, 3.0, 1.0], "leaves double range"),
+            ([-400.0, -400.0, -400.0], [3.0, 3.0, 3.0], "leaves double range"),
             ([float("nan"), 0.0, 0.0], [3.0, 0.0, 0.0], "needs finite spectra"),
             ([1.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], "needs finite spectra"),
         ],
-        ids=["estimate_overflows", "shift_overflows", "nan", "inf"],
+        ids=["estimate_overflows", "shift_overflows", "estimate_underflows", "constant_underflows", "nan", "inf"],
     )
     def test_non_finite_refused(self, s, lam, match):
         with pytest.raises(ValueError, match=f"^Haar oracle {match}") as err:
