@@ -196,7 +196,6 @@ def build_model(cfg: ExperimentConfig) -> ChannelModel:
     transmit correlation.
     """
     cfg.validate()
-    raw = standard_complex_normal(substream(cfg.seed, _MEAN_STREAM), (cfg.n_r, cfg.n_t))
     spec = _scenario_spec(cfg)
     r_t = channel.build_correlation_matrix(spec, cfg.n_t)
     v = cfg.v
@@ -204,6 +203,8 @@ def build_model(cfg: ExperimentConfig) -> ChannelModel:
     case = cfg.fading_case
     if case == "rayleigh_only":
         return channel.channel_from_parts(r_t, np.zeros((cfg.n_r, cfg.n_t)), 0.0)
+    # the mean has its own substream, so drawing it after the Rayleigh return changes no bits
+    raw = standard_complex_normal(substream(cfg.seed, _MEAN_STREAM), (cfg.n_r, cfg.n_t))
     if case == "ray_rice_uncorr":
         r_t = r_t.copy()
         r_t[:v, v:] = 0.0
@@ -253,11 +254,13 @@ def run_experiment(cfg: ExperimentConfig):
     methods = cfg.resolved_methods()
     report = schur.check_condition(model, cfg.v)
     n = model.n_r - model.n_t + 1
-    budgets = [LinkBudget.from_gamma_b_db(gb, cfg.n_t, cfg.m) for gb in cfg.gamma_b_grid_db]
-    gamma_s = np.array([b.gamma_s for b in budgets])
+    grid = cfg.gamma_b_grid_db
+    # LinkBudget.from_gamma_b_db's gamma_s, in its scalar order; the budgets themselves only feed sim
+    log2_m = np.log2(cfg.m)
+    gamma_s = np.array([channel.db_to_linear(gb) * log2_m for gb in grid])
 
     # the determinantal AEPs go first: a refusal there should not wait for the simulations
-    dets = [None] * len(budgets)
+    dets = [None] * len(grid)
     if "determinantal" in methods:
         dets = aep.aep_rice_ray_det(snrdist.rank1_params(model, gamma_s), cfg.m).tolist()
 
@@ -270,8 +273,9 @@ def run_experiment(cfg: ExperimentConfig):
             d = snrdist.virtual_gamma_snr(model, stream, gamma_s)
             approx[stream] = aep.aep_exact_condition(n, d.scale, cfg.m).tolist()
 
-    sims = [None] * len(budgets)
+    sims = [None] * len(grid)
     if "sim" in methods:
+        budgets = [LinkBudget.from_gamma_b_db(gb, cfg.n_t, cfg.m) for gb in grid]
 
         def simulate(idx):
             return mcsim.simulate_ser(model, budgets[idx], cfg.m, cfg.trials, _point_seed(cfg.seed, idx))
@@ -281,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     rows: list[ResultRow] = []
     gap = None
-    for idx, (gb, det_val, sim) in enumerate(zip(cfg.gamma_b_grid_db, dets, sims)):
+    for idx, (gb, det_val, sim) in enumerate(zip(grid, dets, sims)):
         for stream in range(1, cfg.v + 1):
             row = ResultRow(gamma_b_db=float(gb), stream=stream)
             if stream in exact:
@@ -329,10 +333,9 @@ def emit_csv(rows, path) -> None:
 
 
 def _write_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
+    csv.writer(fh).writerows(
+        [_CSV_HEADER]
+        + [
             [
                 _fmt(r.gamma_b_db),
                 r.stream,
@@ -342,7 +345,9 @@ def _write_csv(rows, fh) -> None:
                 _fmt(r.ser_sim),
                 _fmt(r.ser_ci),
             ]
-        )
+            for r in rows
+        ]
+    )
 
 
 def _parse_grid(text: str) -> list:

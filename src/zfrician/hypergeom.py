@@ -13,10 +13,11 @@ implemented as determinants of matrices with elementary-function entries:
 For rank-1 S with eigenvalue sigma and idempotent L of rank n in ambient
 dimension n_r, 0F0 collapses to the scalar confluent function
 1F1(n; n_r; sigma). ``f00_rank1_idempotent`` evaluates it for a whole
-array of sigmas by Kummer's integral and fixed Gauss rules, where the
-determinant would cancel; ``f11_series`` sums the classical series. A
-Monte Carlo Haar average (``haar_oracle``) provides an independent
-estimate of the defining integral for validation.
+array of sigmas from Kummer's integral, where the determinant would
+cancel: in closed form (a terminating sum) for large negative sigma, by a
+fixed Gauss-Jacobi rule elsewhere; ``f11_series`` sums the classical
+series. A Monte Carlo Haar average (``haar_oracle``) provides an
+independent estimate of the defining integral for validation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .rng import chunks, standard_complex_normal, substream
 
@@ -60,12 +61,15 @@ COINCIDENCE_RTOL = 1e-8
 # assembled in log domain.
 LOG_DOMAIN_SIGMA = 200.0
 
-# Rank-1 0F0 by Kummer's integral: Gauss-Jacobi nodes for -_KUMMER_SPLIT <=
-# sigma <= 0, Laguerre nodes below, at most _KUMMER_BLOCK sigmas per buffer.
+# Rank-1 0F0 by Kummer's integral: its terminating closed form below a split
+# of at most -_KUMMER_SPLIT (dropped part below exp(_KUMMER_DROPPED_LOG) =
+# 2^-60, and absolute sum at most _KUMMER_GUARD times the signed one), the
+# Gauss-Jacobi rule elsewhere, at most _KUMMER_BLOCK sigmas per buffer.
 # KUMMER_MAX_N_R is the largest n_r the mpmath property test covers.
 _KUMMER_JACOBI_NODES = 128
-_KUMMER_LAGUERRE_NODES = 64
 _KUMMER_SPLIT = 300.0
+_KUMMER_DROPPED_LOG = -60 * math.log(2.0)
+_KUMMER_GUARD = 16.0
 _KUMMER_BLOCK = 256
 KUMMER_MAX_N_R = 40
 
@@ -367,28 +371,53 @@ def f00_rank_v_idempotent(sigma_nonzero: Sequence[float], n_v: int, n_r: int) ->
     return float(_idempotent_f00(sig[None, :], n_v, n_r)[0])
 
 
-def _normalized_rule(nodes: np.ndarray, weights: np.ndarray):
-    """A Gauss rule's nodes and weights divided by their sum, both read-only (they are cached)."""
-    weights = weights / weights.sum()
+@lru_cache(maxsize=None)
+def _beta_rule(a: int, b: int):
+    """128-node Gauss-Jacobi rule for the mean over x ~ Beta(a, b - a).
+
+    Nodes in (0, 1) and weights divided by their sum, both read-only (they
+    are cached).
+    """
+    x, w = roots_jacobi(_KUMMER_JACOBI_NODES, b - a - 1, a - 1)
+    nodes, weights = 0.5 * (x + 1.0), w / w.sum()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
 @lru_cache(maxsize=None)
-def _beta_rule(a: int, b: int):
-    """128-node Gauss-Jacobi rule for the mean over x ~ Beta(a, b - a), nodes in (0, 1)."""
-    x, w = roots_jacobi(_KUMMER_JACOBI_NODES, b - a - 1, a - 1)
-    return _normalized_rule(0.5 * (x + 1.0), w)
+def _kummer_tail(a: int, b: int):
+    """The split and the coefficients of 1F1(a; b; z)'s terminating form.
+
+    Kummer's integral (DLMF 13.4.1) with y = |z| x, extended from (0, |z|)
+    to (0, inf), integrates the polynomial (1 - y/|z|)^k, k = b - a - 1,
+    against Gamma(a, 1) in closed form. So for z < 0, 1F1(a; b; z) is
+    Gamma(b) / (Gamma(b - a) |z|^a) times P(t) - D(|z|), with t = 1/|z|,
+    P(t) = sum_j c_j t^j, c_0 = 1 and c_(j+1) = -c_j (k - j)(a + j) / (j + 1).
+    The dropped part, the integral past |z|, is the e^z term of the
+    connection formula (DLMF 13.2(vii)) and terminates too: D(Z) = e^-Z
+    Z^(2a-b) sum_(i<a) Gamma(b-a+i) / (Gamma(i+1) Gamma(a-i)) Z^-i. The
+    split is the smallest integer Z <= 300 from which D stays below 2^-60;
+    D decreases once Z >= 2a - b, so the search starts there. Returns
+    (split, coefficients), the rows c_j and |c_j|, read-only.
+    """
+    k = b - a - 1
+    c = [1]
+    for j in range(k):
+        c.append(-c[j] * (k - j) * (a + j) // (j + 1))
+    coef = np.array([[float(x) for x in c], [float(abs(x)) for x in c]])
+    coef.flags.writeable = False
+    # log D(Z) at every integer Z from max(1, 2a - b) to 300, term i of its sum in column i
+    log_terms = np.array([math.lgamma(b - a + i) - math.lgamma(i + 1) - math.lgamma(a - i) for i in range(a)])
+    big_z = np.arange(max(1, 2 * a - b), _KUMMER_SPLIT + 1.0)
+    log_z = np.log(big_z)
+    log_sum = np.logaddexp.reduce(log_terms - np.multiply.outer(log_z, np.arange(a)), axis=1)
+    above = np.flatnonzero(-big_z + (2 * a - b) * log_z + log_sum > _KUMMER_DROPPED_LOG)
+    split = big_z[0] if not above.size else big_z[min(above[-1] + 1, big_z.size - 1)]
+    return float(split), coef
 
 
-@lru_cache(maxsize=None)
-def _gamma_rule(a: int):
-    """64-node generalized Gauss-Laguerre rule for the mean over y ~ Gamma(a, 1)."""
-    return _normalized_rule(*roots_genlaguerre(_KUMMER_LAGUERRE_NODES, a - 1))
-
-
-def _block_sums(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, finish) -> np.ndarray:
-    """sum_j weights_j * finish(z_i * nodes_j) for each z_i.
+def _block_sums(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j * exp(z_i * nodes_j) for each z_i.
 
     Runs in blocks of at most _KUMMER_BLOCK values through one contiguous
     buffer, and only elementwise ufuncs and a row sum touch it, so each
@@ -399,7 +428,7 @@ def _block_sums(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, finish) -
     for i in range(0, z.size, _KUMMER_BLOCK):
         blk = buf[: min(_KUMMER_BLOCK, z.size - i)]
         np.multiply.outer(z[i : i + len(blk)], nodes, out=blk)
-        finish(blk)
+        np.exp(blk, out=blk)
         blk *= weights
         out[i : i + len(blk)] = blk.sum(axis=1)
     return out
@@ -408,31 +437,37 @@ def _block_sums(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, finish) -
 def _kummer_negative(a: int, b: int, z: np.ndarray):
     """1F1(a; b; z) for 1 <= a < b and z <= 0, as (mantissa, log_scale).
 
-    The value is mantissa * exp(log_scale), and every quadrature term is
-    positive or, beyond the Jacobi range, a polynomial the rule integrates
-    exactly. For -_KUMMER_SPLIT <= z the 128-node Gauss-Jacobi rule
-    averages exp(z t) and log_scale is 0. Below it, y = |z| x gives
-    Gamma(b) / (Gamma(b - a) |z|^a) times the y^(a-1) exp(-y) average of
-    (1 - y/|z|)^(b-a-1) on (0, |z|); the 64-node Laguerre rule integrates
-    that polynomial exactly over (0, inf), whose tail past |z| is of
-    relative size exp(-|z|).
+    The value is mantissa * exp(log_scale). For z <= -split (see
+    ``_kummer_tail``) the mantissa is the polynomial P(1/|z|), summed by
+    Horner together with Q = sum_j |c_j| |z|^-j, and log_scale is
+    lgamma(b) - lgamma(b - a) - a log|z|. The dropped part is below 2^-60;
+    Q >= 1, so where Q <= 16 P it is below 2^-56 of P. A z where Q > 16 P,
+    whose alternating sum would cancel, and every z above -split take the
+    128-node Gauss-Jacobi average of exp(z x), whose terms are all
+    positive, with log_scale 0. For n_r <= 40 the guard passes at every
+    tested |z| >= 300 (Q / P <= 12.6 there), so the Jacobi rule is used
+    only on [-300, 0].
     """
     mant = np.empty(z.size)
     log_scale = np.zeros(z.size)
-    near = z >= -_KUMMER_SPLIT
+    split, coef = _kummer_tail(a, b)
+    far = np.flatnonzero(z <= -split)
+    near = np.ones(z.size, dtype=bool)
+    if far.size:
+        t = -1.0 / z[far]
+        acc = np.repeat(coef[:, -1:], far.size, axis=1)
+        for j in range(coef.shape[1] - 2, -1, -1):
+            acc *= t
+            acc += coef[:, j : j + 1]
+        p, q = acc
+        ok = q <= _KUMMER_GUARD * p
+        far = far[ok]
+        mant[far] = p[ok]
+        log_scale[far] = (math.lgamma(b) - math.lgamma(b - a)) - a * np.log(-z[far])
+        near[far] = False
     if near.any():
-        mant[near] = _block_sums(z[near], *_beta_rule(a, b), lambda blk: np.exp(blk, out=blk))
+        mant[near] = _block_sums(z[near], *_beta_rule(a, b))
         mant[z == 0.0] = 1.0  # exact, where the weights' rounded sum may not be
-    far = ~near
-    if far.any():
-        zf = z[far]
-
-        def poly(blk):  # blk holds -y/|z|
-            blk += 1.0
-            np.power(blk, b - a - 1, out=blk)
-
-        mant[far] = _block_sums(1.0 / zf, *_gamma_rule(a), poly)
-        log_scale[far] = (math.lgamma(b) - math.lgamma(b - a)) - a * np.log(-zf)
     return mant, log_scale
 
 
@@ -442,15 +477,18 @@ def f00_rank1_idempotent(sigma1, n: int, n_r: int):
     ``sigma1`` is a scalar or an array; an array gives an array of the same
     shape, each entry with the bits of its scalar call. For n == n_r the
     value is exp(sigma1). Otherwise it is Kummer's integral (DLMF 13.4.1),
-    E[exp(sigma1 x)] with x ~ Beta(n, n_r - n), summed by fixed Gauss rules
-    (Golub & Welsch, Math. Comp. 23, 1969): Gauss-Jacobi on
-    -300 <= sigma1 <= 0, generalized Gauss-Laguerre below -300, and for
-    sigma1 > 0 the reflection exp(sigma1) 1F1(n_r - n; n_r; -sigma1),
-    combined in log form. No branch cancels. Against mpmath it is within
-    1e-10 relative (worst seen 5.7e-12, set by the accuracy of scipy's
-    nodes) for n_r <= KUMMER_MAX_N_R and sigma1 in [-1.6e4, 600]. A larger
-    n_r with n < n_r is refused, and so is a value beyond double range or
-    a non-finite sigma1.
+    E[exp(sigma1 x)] with x ~ Beta(n, n_r - n). For sigma1 <= -Z, with a
+    split Z of 23 to 122 set per (n, n_r), its closed form is exact to
+    double precision: a Gamma-function factor times a polynomial of degree
+    n_r - n - 1 in 1/|sigma1|. Above -Z, and where that polynomial would
+    cancel, a 128-node Gauss-Jacobi rule (Golub & Welsch, Math. Comp. 23,
+    1969) averages exp(sigma1 x). For sigma1 > 0 the reflection
+    exp(sigma1) 1F1(n_r - n; n_r; -sigma1) is used, combined in log form.
+    Against mpmath it is within 1e-10 relative for n_r <= KUMMER_MAX_N_R
+    and sigma1 in [-1.6e4, 600]; the worst seen is 8.2e-13, from the
+    Jacobi rule near a split, and the closed form's is 6.3e-14. A larger
+    n_r with n < n_r is refused, and so is a value beyond double range or a
+    non-finite sigma1.
     """
     if not 1 <= n <= n_r:
         raise ValueError("need 1 <= n <= n_r")

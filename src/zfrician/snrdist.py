@@ -191,15 +191,22 @@ def mgf_gamma1_det(p: Rank1MgfParams, s):
     With an array ``p.gamma_k1`` of k entries the result has one row per
     entry, shape (k, *s.shape). Both factors are formed elementwise in the
     scalar order of operations, so each value is bit-identical to a scalar
-    call.
+    call. A Gamma factor beyond double range, next to the pole, raises a
+    ValueError naming s and n.
     """
-    sg = np.multiply.outer(p.gamma_k1, np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
+    sg = np.multiply.outer(p.gamma_k1, s)
     if np.any(sg >= 1.0):
         raise ValueError("m.g.f. pole")
     base = 1.0 - sg
-    gam = np.array([b ** (-p.n) for b in base.ravel().tolist()])  # scalar pow: numpy's rounds differently
+    with np.errstate(over="ignore"):
+        gam = np.float_power(base, -p.n)  # libm pow, as float ** int; np.power rounds differently
+    big = np.isinf(gam)
+    if big.any():
+        bad = np.broadcast_to(s, sg.shape)[big][:1].tolist()
+        raise ValueError(f"stream-1 m.g.f. Gamma factor leaves double range at s = {bad}, n = {p.n}")
     f00 = hypergeom.f00_rank1_idempotent(sg * p.alpha / base, p.n, p.n_r)  # _sigma1's order of operations
-    out = gam.reshape(sg.shape) * f00
+    out = gam * f00
     return out if sg.ndim else float(out)
 
 

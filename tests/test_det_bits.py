@@ -7,7 +7,8 @@ rounding step fails here. The rank-1 pins were taken from the Kummer
 quadrature with numpy's AVX-512 SIMD ``exp`` (x86-64); an ``exp`` that
 rounds differently moves their last bits, and their mpmath bounds are the
 portable check. A rank-1 pin that the Kummer quadrature moved keeps its
-determinant-era value beside it. The inputs cover n_r 2-12, n = n_r (the
+determinant-era value beside it, and one that the closed form moved keeps
+its Jacobi-era value. The inputs cover n_r 2-12, n = n_r (the
 exp branch), sigma1 on both sides of 0, and log-domain rows (sigma > 200)
 of the rank-v determinant for v = 2 and 3.
 """
@@ -78,26 +79,30 @@ def test_f00_rank_v_bits(case):
 
 
 def test_rank1_array_bits():
-    # Jacobi nodes on both sides of 0; sigma = 250 is the reflection's
-    vals = f00_rank1_idempotent(np.array([0.05, -3.0, 250.0]), 2, 6)
+    # Jacobi nodes on both sides of 0; sigma = 250 is the reflection's closed form
+    sig = (0.05, -3.0, 250.0)
+    vals = f00_rank1_idempotent(np.array(sig), 2, 6)
     # determinant era: 0x1.04501156af459p+0, 0x1.ad12cca4658fdp-2, 0x1.9e379f192d5bdp+335
-    expected = ["0x1.04501156af45ap+0", "0x1.ad12cca4658f6p-2", "0x1.9e379f192cffbp+335"]
+    # Jacobi era of sigma = 250: 0x1.9e379f192cffbp+335 (2.0e-13 off mpmath)
+    expected = ["0x1.04501156af45ap+0", "0x1.ad12cca4658f6p-2", "0x1.9e379f192d5cfp+335"]
     assert [x.hex() for x in vals.tolist()] == expected
     mp = pytest.importorskip("mpmath")
-    for x, s in zip(vals.tolist(), (0.05, -3.0, 250.0)):
+    for x, s, rtol in zip(vals.tolist(), sig, (1e-12, 1e-12, 1e-14)):
         ref = mp.hyp1f1(2, 6, s)
-        assert abs(x - ref) <= 1e-12 * ref
+        assert abs(x - ref) <= rtol * ref
 
 
 def test_mgf_gamma1_det_bits():
-    # sigma1 = 280 (the reflection's Jacobi rule at its edge), 30 and -5.7
+    # sigma1 = 280 (the reflection's closed form), 30 and -5.7
     p = params(1.0, 120.0, 5, 3)
-    vals = mgf_gamma1_det(p, np.array([0.7, 0.2, -0.05]))
+    s_vals = (0.7, 0.2, -0.05)
+    vals = mgf_gamma1_det(p, np.array(s_vals))
     # determinant era: 0x1.62e5bb3043a94p+396, 0x1.c4b3f95965204p+37, 0x1.c083c72164314p-5
-    expected = ["0x1.62e5bb3042f5dp+396", "0x1.c4b3f95965254p+37", "0x1.c083c72164327p-5"]
+    # Jacobi era of sigma1 = 280: 0x1.62e5bb3042f5dp+396 (4.4e-13 off mpmath)
+    expected = ["0x1.62e5bb3043a1fp+396", "0x1.c4b3f95965254p+37", "0x1.c083c72164327p-5"]
     assert [x.hex() for x in vals.tolist()] == expected
     mp = pytest.importorskip("mpmath")
-    for x, s in zip(vals.tolist(), (0.7, 0.2, -0.05)):
+    for x, s, rtol in zip(vals.tolist(), s_vals, (1e-14, 1e-12, 1e-12)):
         one_minus = 1 - mp.mpf(s) * p.gamma_k1
         ref = one_minus ** (-p.n) * mp.hyp1f1(p.n, p.n_r, mp.mpf(s) * p.gamma_k1 * p.alpha / one_minus)
-        assert abs(x - ref) <= 1e-12 * ref
+        assert abs(x - ref) <= rtol * ref

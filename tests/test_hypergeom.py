@@ -232,13 +232,13 @@ class TestRank1Idempotent:
         assert abs(hi - ref_hi) < 1e-8
 
     def test_log_domain_branch(self):
-        # exp(250) times the Jacobi sum of the reflection matches the series
+        # exp(250) times the closed form of the reflection matches the series
         val = f00_rank1_idempotent(250.0, 2, 4)
         ref = f11_series(2, 4, 250.0)
         assert abs(val - ref) < 1e-7 * abs(ref)
 
     def test_array_equals_scalar_calls(self):
-        # both Jacobi rules, sigma = 0 and n == n_r in one array
+        # the Jacobi rule, the closed form, sigma = 0 and n == n_r in one array
         sig = np.array([[0.05, -0.09, 0.1, -0.3], [1.7, -25.0, 150.0, 250.0], [-0.0, 380.0, 210.0, -7.5]])
         for n, n_r in ((2, 4), (1, 5), (4, 4)):
             arr = f00_rank1_idempotent(sig, n, n_r)
@@ -263,9 +263,10 @@ class TestRank1Idempotent:
 
     @pytest.mark.parametrize("n_r", range(2, 41))
     def test_against_mpmath(self, n_r):
-        # Kummer's quadrature over its whole stated domain: every n < n_r,
-        # and sigma1 log-spaced on both sides of 0, across the Jacobi /
-        # Laguerre split at -300 and up to 600 (reflection)
+        # Kummer's integral over its whole stated domain: every n < n_r,
+        # and sigma1 log-spaced on both sides of 0, across the split
+        # between the Jacobi rule and the closed form, down to -1.6e4 and
+        # up to 600 (reflection)
         mp = pytest.importorskip("mpmath")
         sig = np.concatenate([-np.geomspace(1e-4, 1.6e4, 17), np.geomspace(1e-4, 600.0, 13)])
         for n in range(1, n_r):
@@ -273,6 +274,53 @@ class TestRank1Idempotent:
             for val, s in zip(vals.tolist(), sig.tolist()):
                 ref = mp.hyp1f1(n, n_r, s)
                 assert abs(val - ref) <= 1e-10 * ref, (n, s, val)
+
+    def test_closed_form_against_mpmath(self):
+        # every n < n_r <= 40 at its closed form's split, 1.5 times it, 300
+        # and 1.6e4, with the guard free to send a point to the Jacobi rule
+        mp = pytest.importorskip("mpmath")
+        for n_r in range(2, hypergeom.KUMMER_MAX_N_R + 1):
+            for n in range(1, n_r):
+                split = hypergeom._kummer_tail(n, n_r)[0]
+                sig = np.array([-split, -1.5 * split, -300.0, -1.6e4])
+                for val, s in zip(f00_rank1_idempotent(sig, n, n_r).tolist(), sig.tolist()):
+                    ref = mp.hyp1f1(n, n_r, s)
+                    assert abs(val - ref) <= 1e-12 * ref, (n, n_r, s, val)
+
+    def test_closed_form_beyond_300(self, monkeypatch):
+        # the Jacobi rule is not certified below -300: no pair may reach it there
+        def no_jacobi(*args):
+            raise AssertionError("Gauss-Jacobi rule used")
+
+        monkeypatch.setattr(hypergeom, "_block_sums", no_jacobi)
+        sig = np.concatenate([-np.geomspace(300.0, 1.6e4, 60), np.geomspace(300.0, 650.0, 20)])
+        for n_r in range(2, hypergeom.KUMMER_MAX_N_R + 1):
+            for n in range(1, n_r):
+                assert hypergeom._kummer_tail(n, n_r)[0] <= 300.0
+                assert np.isfinite(f00_rank1_idempotent(sig, n, n_r)).all()
+
+    def test_cancellation_guard(self):
+        # (20, 40): the alternating sum cancels near its split of 49, where
+        # the closed form alone is off by 1.6e-11; the guard sends it to the
+        # Jacobi rule. -42 lies above the split.
+        mp = pytest.importorskip("mpmath")
+        split, coef = hypergeom._kummer_tail(20, 40)
+        assert split == 49.0
+        p, q = (np.polyval(row[::-1], 1.0 / split) for row in coef)
+        assert q > 16.0 * p
+        for s in (-42.0, -split):
+            ref = mp.hyp1f1(20, 40, s)
+            assert abs(f00_rank1_idempotent(s, 20, 40) - ref) <= 1e-12 * ref
+
+    def test_jacobi_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        # every |sigma| <= 20 is above the smallest split (23): all 601 take the Jacobi rule
+        sig = np.linspace(-20.0, 20.0, 601)
+        out = []
+        for block in (64, 256, sig.size):
+            monkeypatch.setattr(hypergeom, "_KUMMER_BLOCK", block)
+            out.append(f00_rank1_idempotent(sig, 3, 9).tobytes())
+        assert out[1] == out[0]
+        assert out[2] == out[0]
 
 
 class TestLogDomainAssembly:

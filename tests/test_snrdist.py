@@ -208,6 +208,14 @@ class TestStream1Mgf:
         with pytest.raises(ValueError, match="pole"):
             mgf_gamma1_series(self.params(), 1.5)
 
+    @pytest.mark.parametrize("s", [1.0 - 1e-12, [1.0 - 1e-12]])
+    def test_det_gamma_factor_beyond_double_refused(self, s):
+        # (1 - s)^-39 = 1e468 next to the pole: one line, not a bare OverflowError
+        p = Rank1MgfParams(1.0, 0.5, 39, 40, 2)
+        with pytest.raises(ValueError) as err:
+            mgf_gamma1_det(p, s)
+        assert str(err.value) == "stream-1 m.g.f. Gamma factor leaves double range at s = [0.999999999999], n = 39"
+
     def test_condition_collapses_to_pure_gamma(self, rng):
         # v = 1 alignment means alpha = 0, so the series m.g.f. IS the Gamma m.g.f.
         m = random_model(rng, condition=True)
